@@ -10,7 +10,9 @@ that pin down every blocked flip.
 
 from bruhatb import (
     blocks,
+    canonical_form,
     case_report,
+    class_flip_candidates,
     classify_blocked_flip,
     crosses,
     enumerate_admissible,
@@ -23,7 +25,7 @@ from bruhatb import (
     standard_cases,
     star,
 )
-from bruhatb.orders import class_members, flip_candidates, inversion_set
+from bruhatb.orders import inversion_set
 from bruhatb.core import enumerate_B
 
 # Two elements cross when some member of the commutation class reverses
@@ -36,6 +38,8 @@ print("[-3,-2] x [-3,-1]:",
 
 # A flip at K is available somewhere in the class exactly when no element
 # is trapped inside the interval spanned by K's packet in every member.
+# Both sides are decided on the class's dependence order, without listing
+# the members.
 K = normalize_orbit((-3, 2, 1))
 S = packet_B(K).elements
 print("interval around P_B([-3,2,1]):",
@@ -46,9 +50,7 @@ print("flip available:", flip_candidate_by_blocking(base, K))
 # When a flip is blocked and not yet inverted, one of seven sandwich
 # patterns holds across the whole class.
 for rho in enumerate_admissible("B", 3, 2):
-    available = set()
-    for m in class_members(rho):
-        available |= flip_candidates(m)
+    available = class_flip_candidates(canonical_form(rho))
     blocked = [K for K in enumerate_B(3, 3)
                if K not in available and K not in inversion_set(rho)]
     if blocked:

@@ -1,8 +1,8 @@
 """Command-line front end: enumeration, posets, chains, verification, export.
 
 Thin adapters over the library; exit status 0 on success, 1 when a
-verification suite reports a failure, 2 on usage errors including requests
-outside the supported ranks and levels.
+verification suite reports a failure or runs no check, 2 on usage errors
+including unsupported ranks or levels and an --out that cannot be written.
 """
 
 from __future__ import annotations
@@ -54,9 +54,12 @@ def _build_parser() -> argparse.ArgumentParser:
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
-    else:
+        return
+    try:
         with open(out, "w") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise ValueError(f"cannot write {out}: {exc.strerror}") from exc
 
 
 def _cmd_enumerate(args) -> int:
@@ -112,11 +115,15 @@ def _cmd_export(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.n < 2 or args.jobs < 1:
+        raise ValueError("verify needs --n >= 2 and --jobs >= 1, "
+                         f"got --n {args.n} --jobs {args.jobs}")
     reports = run_suite(args.suite, args.n, args.jobs)
-    text = reports_to_json(reports)
     if args.out is not None:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        _emit(reports_to_json(reports), args.out)
+    if not reports:
+        print(f"FAIL suite {args.suite} ran no checks")
+        return 1
     failures = [r for r in reports if not r["result"]]
     for r in reports:
         status = "ok" if r["result"] else "FAIL"

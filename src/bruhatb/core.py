@@ -143,13 +143,6 @@ def _level_elements(n: int, level: int) -> list[BElem]:
     return out
 
 
-def level_size_B(n: int, k: int) -> int:
-    if k == 1:
-        return 2 * n
-    from math import comb
-    return comb(n, k) * 2 ** (k - 1) + comb(n, k - 1)
-
-
 # ---------------------------------------------------------------------------
 # packets
 # ---------------------------------------------------------------------------

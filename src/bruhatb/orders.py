@@ -191,21 +191,22 @@ def _packet_of(family: str, n: int, k: int, K) -> Packet:
 
 
 @lru_cache(maxsize=None)
-def _noncommuting_pairs(family: str, n: int, k: int) -> frozenset:
-    """Unordered pairs lying in a common component of some packet."""
-    pairs = set()
+def _partners(family: str, n: int, k: int) -> dict:
+    """Each element's non-commuting partners (packet mates); read-only sets."""
+    out: dict = {e: set() for e in ground_set(family, n, k)}
     for _K, packet in _packet_table(family, n, k):
         for chain in packet.components:
             for a, b in itertools.combinations(chain, 2):
-                pairs.add(frozenset((a, b)))
-    return frozenset(pairs)
+                out[a].add(b)
+                out[b].add(a)
+    return out
 
 
 def commutes(a, b, family: str, n: int, k: int) -> bool:
     """Whether a and b are incomparable in every packet containing both."""
     if a == b:
         raise ValueError("commutation needs two distinct elements")
-    return frozenset((a, b)) not in _noncommuting_pairs(family, n, k)
+    return b not in _partners(family, n, k)[a]
 
 
 # ---------------------------------------------------------------------------
@@ -219,78 +220,75 @@ class OrderClass:
     canon: TotalOrder
 
 
+def dependence_order(rho: TotalOrder) -> list[int]:
+    """The order whose linear extensions are rho's commutation class.
+
+    below[j] is a bitmask of the positions of rho whose elements precede
+    rho.seq[j] in every class member: the transitive closure of the
+    non-commuting pairs, oriented as in rho (the class's heap of pieces).
+    """
+    partners = _partners(rho.family, rho.n, rho.k)
+    seq = rho.seq
+    below: list[int] = []
+    for j, b in enumerate(seq):
+        near = partners[b]
+        mask = 0
+        for i in range(j):
+            if seq[i] in near:
+                mask |= below[i] | 1 << i
+        below.append(mask)
+    return below
+
+
 def canonical_form(rho: TotalOrder) -> OrderClass:
     """Lexicographically least member of the commutation class of rho.
 
-    Greedy least-available linearization of the dependence order (relative
-    order of every non-commuting pair), with availability resolved by the
-    standard order on ground elements.
+    Greedy least-available linearization of the dependence order, with
+    availability resolved by the standard order on ground elements.
     """
-    nc = _noncommuting_pairs(rho.family, rho.n, rho.k)
     seq = rho.seq
-    succs: dict = {e: [] for e in seq}
-    indeg = {e: 0 for e in seq}
-    for i, a in enumerate(seq):
-        for b in seq[i + 1:]:
-            if frozenset((a, b)) in nc:
-                succs[a].append(b)
-                indeg[b] += 1
-    avail = sorted((e for e in seq if indeg[e] == 0), key=element_key)
+    below = dependence_order(rho)
+    left = sorted(range(len(seq)), key=lambda i: element_key(seq[i]))
+    placed = 0
     out = []
-    while avail:
-        e = avail.pop(0)
-        out.append(e)
-        fresh = []
-        for b in succs[e]:
-            indeg[b] -= 1
-            if indeg[b] == 0:
-                fresh.append(b)
-        if fresh:
-            avail = sorted(avail + fresh, key=element_key)
+    while left:
+        j = next(i for i in left if not below[i] & ~placed)
+        left.remove(j)
+        placed |= 1 << j
+        out.append(seq[j])
     return OrderClass(TotalOrder(rho.family, rho.n, rho.k, tuple(out)))
 
 
 def class_members(rho: TotalOrder) -> list[TotalOrder]:
-    """Every member of the commutation class, by closure under swaps."""
+    """Every member of the commutation class by swap closure (oracles only)."""
+    seqs = _swap_tree(rho.family, rho.n, rho.k, rho.seq)
     return [TotalOrder(rho.family, rho.n, rho.k, s)
-            for s in _class_seqs(rho.family, rho.n, rho.k, rho.seq)]
+            for s in sorted(seqs, key=lambda s: tuple(element_key(e) for e in s))]
 
 
-def _class_seqs(family, n, k, seq) -> list[tuple]:
-    nc = _noncommuting_pairs(family, n, k)
-    seen = {seq}
+def _swap_tree(family, n, k, seq) -> dict:
+    """Swap closure of seq: each member -> (predecessor, swapped pair)."""
+    partners = _partners(family, n, k)
+    parent: dict = {seq: None}
     queue = deque([seq])
     while queue:
         cur = queue.popleft()
         for i in range(len(cur) - 1):
-            if frozenset((cur[i], cur[i + 1])) not in nc:
-                nxt = cur[:i] + (cur[i + 1], cur[i]) + cur[i + 2:]
-                if nxt not in seen:
-                    seen.add(nxt)
-                    queue.append(nxt)
-    return sorted(seen, key=lambda s: tuple(element_key(e) for e in s))
-
-
-def class_swap_path(src: TotalOrder, dst: TotalOrder) -> list[tuple]:
-    """Adjacent commuting pairs swapping src into dst, in application order."""
-    nc = _noncommuting_pairs(src.family, src.n, src.k)
-    start, goal = src.seq, dst.seq
-    parent: dict = {start: None}
-    queue = deque([start])
-    while queue:
-        cur = queue.popleft()
-        if cur == goal:
-            break
-        for i in range(len(cur) - 1):
-            if frozenset((cur[i], cur[i + 1])) not in nc:
+            if cur[i + 1] not in partners[cur[i]]:
                 nxt = cur[:i] + (cur[i + 1], cur[i]) + cur[i + 2:]
                 if nxt not in parent:
                     parent[nxt] = (cur, (cur[i], cur[i + 1]))
                     queue.append(nxt)
-    if goal not in parent:
+    return parent
+
+
+def class_swap_path(src: TotalOrder, dst: TotalOrder) -> list[tuple]:
+    """Adjacent commuting pairs swapping src into dst, in application order."""
+    parent = _swap_tree(src.family, src.n, src.k, src.seq)
+    if dst.seq not in parent:
         raise ValueError("orderings are not in the same commutation class")
     path = []
-    node = goal
+    node = dst.seq
     while parent[node] is not None:
         node, pair = parent[node]
         path.append(pair)
@@ -298,11 +296,42 @@ def class_swap_path(src: TotalOrder, dst: TotalOrder) -> list[tuple]:
 
 
 def class_flip_candidates(r: OrderClass) -> frozenset:
-    """Union of flip candidates over the whole commutation class."""
-    out: set = set()
-    for member in class_members(r.canon):
-        out |= flip_candidates(member)
-    return frozenset(out)
+    """Labels flippable in some member of the commutation class.
+
+    K qualifies when no element lies strictly between two elements of one
+    component of K's packet in the dependence order (_flip_in_class builds
+    the member).  Several components occur only at type B level 1, where the
+    class is one ordering, so the components are tested one at a time.
+    """
+    rho = r.canon
+    below = dependence_order(rho)
+    index = {e: i for i, e in enumerate(rho.seq)}
+
+    def separated(chain) -> bool:
+        ps = [index[e] for e in chain]
+        lo, hi = min(ps), max(ps)
+        return any(below[hi] >> x & 1 and below[x] >> lo & 1
+                   for x in range(lo + 1, hi) if x not in ps)
+
+    return frozenset(K for K, packet in _packet_table(rho.family, rho.n, rho.k)
+                     if not any(separated(c) for c in packet.components))
+
+
+def _flip_in_class(rho: TotalOrder, below: list[int], packet: Packet) -> TotalOrder:
+    """Flip a packet in the member of rho's class that holds it consecutive.
+
+    Per component: what lies below it in the dependence order, then the
+    component reversed, then the rest, each part in the current order.
+    """
+    index = {e: i for i, e in enumerate(rho.seq)}
+    order = list(range(len(rho.seq)))
+    for chain in packet.components:
+        comp = {index[e] for e in chain}
+        low = below[max(comp)]
+        order = ([i for i in order if low >> i & 1 and i not in comp]
+                 + [i for i in reversed(order) if i in comp]
+                 + [i for i in order if not low >> i & 1 and i not in comp])
+    return TotalOrder(rho.family, rho.n, rho.k, tuple(rho.seq[i] for i in order))
 
 
 # ---------------------------------------------------------------------------
@@ -330,9 +359,6 @@ class BruhatPoset:
     @property
     def full_inv(self) -> frozenset:
         return frozenset(K for K, _ in _packet_table(self.family, self.n, self.k))
-
-    def out_edges(self, key):
-        return [e for e in self.edges if e[0] == key]
 
     def is_less(self, src_key, dst_key) -> bool:
         """Strict order via reachability in the flip DAG."""
@@ -374,6 +400,7 @@ def build_poset(family: str, n: int, k: int,
         max_nodes = int(os.environ.get("BRUHAT_MAX_NODES", DEFAULT_MAX_NODES))
 
     poset = BruhatPoset(family, n, k)
+    packets = dict(_packet_table(family, n, k))
     start = canonical_form(rho_min(family, n, k)).canon
     poset.min_key = start.seq
     poset.nodes[start.seq] = PosetNode(start, inversion_set(start), 0)
@@ -381,13 +408,11 @@ def build_poset(family: str, n: int, k: int,
     while queue:
         key = queue.popleft()
         node = poset.nodes[key]
-        members = class_members(node.canon)
-        candidates: set = set()
-        for m in members:
-            candidates |= flip_candidates(m)
+        below = dependence_order(node.canon)
+        candidates = class_flip_candidates(OrderClass(node.canon))
         for K in sorted(candidates - node.inv, key=element_key):
-            member = next(m for m in members if K in flip_candidates(m))
-            flipped = canonical_form(packet_flip(member, K)).canon
+            flipped = canonical_form(
+                _flip_in_class(node.canon, below, packets[K])).canon
             if flipped.seq not in poset.nodes:
                 if len(poset.nodes) >= max_nodes:
                     raise PosetOverflowError(
@@ -523,12 +548,7 @@ def chains_bijection_check(p: BruhatPoset) -> bool:
 
 def inv_injectivity_check(p: BruhatPoset) -> bool:
     """Distinct classes carry distinct inversion sets."""
-    seen: dict = {}
-    for key, nd in p.nodes.items():
-        if nd.inv in seen.values():
-            return False
-        seen[key] = nd.inv
-    return len(set(seen.values())) == len(p.nodes)
+    return len({nd.inv for nd in p.nodes.values()}) == len(p.nodes)
 
 
 # ---------------------------------------------------------------------------

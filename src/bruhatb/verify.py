@@ -2,10 +2,11 @@
 
 Everything here is desk-scale verification: a linear scan that decides
 whether two elements can exchange their relative order inside a commutation
-class, a blocking test quantified over the whole class, transitive unions of
-partial orders with full linear-extension enumeration, and a witness search
-that certifies the seven obstruction patterns arising when a level-3 flip is
-blocked.  Class-enumeration oracles for all of these live alongside.
+class, blocking and pattern tests decided on the class's dependence order,
+transitive unions of partial orders with linear-extension enumeration, and a
+witness search that certifies the seven obstruction patterns arising when a
+level-3 flip is blocked.  Oracles that enumerate the class by swaps
+(crosses_oracle, blocks_oracle, class_flip_candidates_oracle) live alongside.
 """
 
 from __future__ import annotations
@@ -25,10 +26,14 @@ from .core import (
     star,
 )
 from .orders import (
+    OrderClass,
     TotalOrder,
+    canonical_form,
+    class_flip_candidates,
     class_members,
     class_swap_path,
     commutes,
+    dependence_order,
     enumerate_admissible,
     flip_candidates,
     inversion_set,
@@ -93,8 +98,36 @@ def crosses_oracle(rho: TotalOrder, a, b) -> bool:
     return False
 
 
+def class_flip_candidates_oracle(rho: TotalOrder) -> frozenset:
+    """Class-enumeration ground truth for class_flip_candidates.
+
+    The union of flip_candidates over every member of rho's class.
+    """
+    out: set = set()
+    for member in class_members(rho):
+        out |= flip_candidates(member)
+    return frozenset(out)
+
+
 def blocks(rho: TotalOrder, x, S) -> bool:
-    """Whether x sits inside the interval around S in every class member."""
+    """Whether x sits inside the interval around S in every class member.
+
+    Exactly when s1 < x < s2 in the dependence order for some s1, s2 in S:
+    otherwise nothing of S lies below x (or above it), and listing the
+    down-set of x first (or its up-set last), the rest in rho's order, gives
+    a class member with x outside the interval.
+    """
+    S = set(S)
+    if x in S:
+        raise ValueError("a blocking element must lie outside S")
+    below = dependence_order(rho)
+    index = {e: i for i, e in enumerate(rho.seq)}
+    return (any(below[index[x]] >> index[s] & 1 for s in S)
+            and any(below[index[s]] >> index[x] & 1 for s in S))
+
+
+def blocks_oracle(rho: TotalOrder, x, S) -> bool:
+    """Class-enumeration ground truth for blocks."""
     S = set(S)
     if x in S:
         raise ValueError("a blocking element must lie outside S")
@@ -512,16 +545,15 @@ def classify_blocked_flip(rho: TotalOrder, K):
     """Match a blocked, uninverted level-3 element to one of the patterns.
 
     Returns (case_id, x) such that the pattern's three-element chain holds in
-    every member of rho's class.
+    every member of rho's class, i.e. is a chain of the dependence order.
     """
     if rho.family != "B" or rho.k != 2:
         raise ValueError("classification applies to type B level-2 orderings")
-    members = class_members(rho)
-    candidates: set = set()
-    for m in members:
-        candidates |= flip_candidates(m)
-    if K in candidates or K in inversion_set(rho):
+    if K in class_flip_candidates(canonical_form(rho)) or K in inversion_set(rho):
         raise ValueError("flip at K is available or already inverted")
+    below = dependence_order(rho)
+    index = {e: i for i, e in enumerate(rho.seq)}
+    precedes = lambda a, b: below[index[b]] >> index[a] & 1
     xs = [v for v in range(-rho.n, rho.n + 1) if v != 0]
     ids = [c for c in CASE_IDS
            if c.startswith("orbit" if K.kind == "orbit" else "star")]
@@ -530,8 +562,7 @@ def classify_blocked_flip(rho: TotalOrder, K):
             triple = _case_triple(case_id, K, x)
             if triple is None:
                 continue
-            if all(m.positions[triple[0]] < m.positions[triple[1]]
-                   < m.positions[triple[2]] for m in members):
+            if precedes(triple[0], triple[1]) and precedes(triple[1], triple[2]):
                 return case_id, x
     raise ClassifyError(
         f"no pattern matches K={format_element(K)} in {rho}")
@@ -572,10 +603,7 @@ def blocking_agreement(n: int) -> dict:
     """Blocking-based flip candidacy vs class enumeration, all (rho, K)."""
     bad = None
     for rho in enumerate_admissible("B", n, 2):
-        members = class_members(rho)
-        direct: set = set()
-        for m in members:
-            direct |= flip_candidates(m)
+        direct = class_flip_candidates_oracle(rho)
         for K in enumerate_B(n, 3):
             if flip_candidate_by_blocking(rho, K) != (K in direct):
                 bad = {"rho": str(rho), "K": format_element(K)}
@@ -591,13 +619,9 @@ def classification_exhaustive(n: int) -> dict:
     bad = None
     checked = 0
     for rho in enumerate_admissible("B", n, 2):
-        members = class_members(rho)
-        available: set = set()
-        for m in members:
-            available |= flip_candidates(m)
-        inv = inversion_set(rho)
+        skip = class_flip_candidates(canonical_form(rho)) | inversion_set(rho)
         for K in enumerate_B(n, 3):
-            if K in available or K in inv:
+            if K in skip:
                 continue
             checked += 1
             try:
@@ -651,19 +675,10 @@ def nonmaximal_has_flip(n: int) -> dict:
     from .orders import build_poset
     p = build_poset("B", n, 2)
     full = p.full_inv
-    bad = None
-    for key, node in p.nodes.items():
-        if node.inv == full:
-            continue
-        members = class_members(node.canon)
-        cands: set = set()
-        for m in members:
-            cands |= flip_candidates(m)
-        if not (cands - node.inv):
-            bad = {"canon": str(node.canon)}
-            break
-    return _report("nonmaximal-class-has-flip", {"n": n, "k": 2},
-                   bad is None, bad)
+    stuck = [nd.canon for nd in p.nodes.values() if nd.inv != full
+             and not class_flip_candidates(OrderClass(nd.canon)) - nd.inv]
+    return _report("nonmaximal-class-has-flip", {"n": n, "k": 2}, not stuck,
+                   {"canon": str(stuck[0])} if stuck else None)
 
 
 def run_suite(name: str, n: int = 3, jobs: int = 1) -> list[dict]:

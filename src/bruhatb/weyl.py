@@ -12,10 +12,11 @@ e_i - e_j for i < j, type B uses e_i, e_i - e_j and e_i + e_j for i > j.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .core import BElem
+from .core import BElem, enumerate_B
 from .orders import (
     TotalOrder,
     build_poset,
@@ -216,6 +217,43 @@ def longest_a(n: int) -> tuple[int, ...]:
     return tuple(range(n, 0, -1))
 
 
+@dataclass(frozen=True)
+class GroupTable:
+    """What replaying words needs of the type A or type B Weyl group.
+
+    `reflections` maps each generator index g to the simple reflection s_g.
+    """
+
+    identity: object
+    reflections: dict
+    compose: Callable     # (u, v) -> u after v
+    length: Callable
+    longest: object
+
+    def mult(self, g: int, w):
+        """The product s_g w."""
+        if g not in self.reflections:
+            raise ValueError(f"generator index out of range: {g}")
+        return self.compose(self.reflections[g], w)
+
+    def letter(self, w, v):
+        """The generator g with s_g w = v, or None when there is none."""
+        return next((g for g in self.reflections if self.mult(g, w) == v), None)
+
+
+@lru_cache(maxsize=None)
+def group_table(family: str, n: int) -> GroupTable:
+    if family == "A":
+        return GroupTable(tuple(range(1, n + 1)),
+                          {g: simple_reflection_a(n, g) for g in range(1, n)},
+                          compose_a, length_a, longest_a(n))
+    if family == "B":
+        return GroupTable(identity_b(n),
+                          {g: simple_reflection_b(n, g) for g in range(n)},
+                          SignedPermutation.compose, weyl_length, longest_b(n))
+    raise ValueError(f"unknown family {family!r}")
+
+
 # ---------------------------------------------------------------------------
 # orderings <-> group elements
 # ---------------------------------------------------------------------------
@@ -271,28 +309,24 @@ class WeakOrderGraph:
 
 def weak_order_poset(n: int) -> WeakOrderGraph:
     """Weak left order on the hyperoctahedral group."""
-    elems = all_signed_permutations(n)
-    ranks = {pi.images: weyl_length(pi) for pi in elems}
-    gens = [simple_reflection_b(n, g) for g in range(n)]
-    edges = set()
-    for pi in elems:
-        for g, s in enumerate(gens):
-            nxt = s.compose(pi)
-            if ranks[nxt.images] == ranks[pi.images] + 1:
-                edges.add((pi.images, nxt.images, g))
-    return WeakOrderGraph(n, ranks, edges)
+    return _weak_order("B", n, all_signed_permutations(n), lambda pi: pi.images)
 
 
 def weak_order_poset_a(n: int) -> WeakOrderGraph:
     """Weak left order on the symmetric group."""
-    elems = [tuple(p) for p in itertools.permutations(range(1, n + 1))]
-    ranks = {w: length_a(w) for w in elems}
+    return _weak_order("A", n, list(itertools.permutations(range(1, n + 1))),
+                       lambda w: w)
+
+
+def _weak_order(family: str, n: int, elems, window) -> WeakOrderGraph:
+    table = group_table(family, n)
+    ranks = {window(w): table.length(w) for w in elems}
     edges = set()
     for w in elems:
-        for g in range(1, n):
-            nxt = compose_a(simple_reflection_a(n, g), w)
-            if ranks[nxt] == ranks[w] + 1:
-                edges.add((w, nxt, g))
+        for g in table.reflections:
+            nxt = table.mult(g, w)
+            if ranks[window(nxt)] == ranks[window(w)] + 1:
+                edges.add((window(w), window(nxt), g))
     return WeakOrderGraph(n, ranks, edges)
 
 
@@ -312,28 +346,14 @@ def iso_check(n: int) -> bool:
             return False
     if len({pi.images for pi in window.values()}) != len(weak.ranks):
         return False
+    table = group_table("B", n)
     mapped = set()
     for src, dst, _K in poset.edges:
-        step = window[dst].compose(window[src].inverse())
-        gen = _simple_index_b(step)
+        gen = table.letter(window[src], window[dst])
         if gen is None:
             return False
         mapped.add((window[src].images, window[dst].images, gen))
     return mapped == weak.edges
-
-
-def _simple_index_b(pi: SignedPermutation):
-    for g in range(pi.n):
-        if pi == simple_reflection_b(pi.n, g):
-            return g
-    return None
-
-
-def _simple_index_a(w: tuple[int, ...]):
-    for g in range(1, len(w)):
-        if w == simple_reflection_a(len(w), g):
-            return g
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -353,19 +373,14 @@ class ReducedWord:
     letters: tuple[int, ...]
 
     def evaluate(self):
-        if self.family == "A":
-            w = tuple(range(1, self.n + 1))
-            for g in self.letters:
-                w = compose_a(simple_reflection_a(self.n, g), w)
-            return w
-        pi = identity_b(self.n)
+        table = group_table(self.family, self.n)
+        w = table.identity
         for g in self.letters:
-            pi = simple_reflection_b(self.n, g).compose(pi)
-        return pi
+            w = table.mult(g, w)
+        return w
 
     def is_reduced(self) -> bool:
-        w = self.evaluate()
-        length = length_a(w) if self.family == "A" else weyl_length(w)
+        length = group_table(self.family, self.n).length(self.evaluate())
         return length == len(self.letters)
 
     def as_applied(self) -> str:
@@ -382,29 +397,11 @@ def chain_to_word(labels, family: str, n: int) -> ReducedWord:
     on the left by one simple reflection; the letters are collected in
     application order.
     """
-    ground2 = len(labels)
-    rho = rho_min(family, n, 1)
+    table = group_table(family, n)
     expected = {"A": n * (n - 1) // 2, "B": n * n}[family]
-    if ground2 != expected:
-        raise ChainError(f"chain has {ground2} labels, expected {expected}")
-    if family == "A":
-        prev = order_to_perm(rho)
-        letters = []
-        for K in labels:
-            if K not in flip_candidates(rho):
-                raise ChainError(f"label {K} is not flippable at its step")
-            rho = packet_flip(rho, K)
-            cur = order_to_perm(rho)
-            step = compose_a(cur, _inverse_a(prev))
-            g = _simple_index_a(step)
-            if g is None:
-                raise ChainError("flip step is not a simple reflection")
-            letters.append(g)
-            prev = cur
-        word = ReducedWord("A", n, tuple(letters))
-        if word.evaluate() != longest_a(n):
-            raise ChainError("chain does not reach the longest element")
-        return word
+    if len(labels) != expected:
+        raise ChainError(f"chain has {len(labels)} labels, expected {expected}")
+    rho = rho_min(family, n, 1)
     prev = order_to_perm(rho)
     letters = []
     for K in labels:
@@ -412,23 +409,14 @@ def chain_to_word(labels, family: str, n: int) -> ReducedWord:
             raise ChainError(f"label {K} is not flippable at its step")
         rho = packet_flip(rho, K)
         cur = order_to_perm(rho)
-        step = cur.compose(prev.inverse())
-        g = _simple_index_b(step)
+        g = table.letter(prev, cur)
         if g is None:
             raise ChainError("flip step is not a simple reflection")
         letters.append(g)
         prev = cur
-    word = ReducedWord("B", n, tuple(letters))
-    if word.evaluate() != longest_b(n):
+    if prev != table.longest:
         raise ChainError("chain does not reach the longest element")
-    return word
-
-
-def _inverse_a(w: tuple[int, ...]) -> tuple[int, ...]:
-    inv = [0] * len(w)
-    for i, v in enumerate(w, start=1):
-        inv[v - 1] = i
-    return tuple(inv)
+    return ReducedWord(family, n, tuple(letters))
 
 
 def braid_classify(K) -> str:
@@ -442,33 +430,21 @@ def braid_classify(K) -> str:
 
 def reduced_words_brute(family: str, n: int) -> set[tuple[int, ...]]:
     """All reduced words for the longest element, by length-increasing DFS."""
-    if family == "A":
-        gens = list(range(1, n))
-        ident: object = tuple(range(1, n + 1))
-        target: object = longest_a(n)
-        mult = lambda g, w: compose_a(simple_reflection_a(n, g), w)
-        length = length_a
-    else:
-        gens = list(range(n))
-        ident = identity_b(n)
-        target = longest_b(n)
-        mult = lambda g, w: simple_reflection_b(n, g).compose(w)
-        length = weyl_length
-
+    table = group_table(family, n)
     words: set[tuple[int, ...]] = set()
-    stack = [(ident, ())]
-    lengths = {ident: 0}
+    stack = [(table.identity, ())]
+    lengths = {table.identity: 0}
     while stack:
         w, word = stack.pop()
-        if w == target:
+        if w == table.longest:
             words.add(word)
             continue
         lw = lengths[w]
-        for g in gens:
-            nxt = mult(g, w)
+        for g in table.reflections:
+            nxt = table.mult(g, w)
             ln = lengths.get(nxt)
             if ln is None:
-                ln = lengths[nxt] = length(nxt)
+                ln = lengths[nxt] = table.length(nxt)
             if ln == lw + 1:
                 stack.append((nxt, word + (g,)))
     return words
@@ -485,18 +461,10 @@ def level1_group_bijection_check(n: int) -> bool:
 
 def _generator_order(family: str, n: int, a: int, b: int) -> int:
     """Order of the product of two simple reflections."""
-    if family == "A":
-        s, t = simple_reflection_a(n, a), simple_reflection_a(n, b)
-        ident = tuple(range(1, n + 1))
-        cur, m = compose_a(s, t), 1
-        while cur != ident:
-            cur, m = compose_a(compose_a(s, t), cur), m + 1
-        return m
-    s, t = simple_reflection_b(n, a), simple_reflection_b(n, b)
-    ident = identity_b(n)
-    cur, m = s.compose(t), 1
-    while cur != ident:
-        cur, m = s.compose(t).compose(cur), m + 1
+    table = group_table(family, n)
+    cur, m = table.mult(a, table.mult(b, table.identity)), 1
+    while cur != table.identity:
+        cur, m = table.mult(a, table.mult(b, cur)), m + 1
     return m
 
 
@@ -567,12 +535,8 @@ def check_root_inversions(n: int) -> bool:
     for rho in enumerate_admissible("B", n, 1):
         pi = order_to_perm(rho)
         inv = inversion_set(rho)
-        for K in _level2_elements(n):
+        for K in enumerate_B(n, 2):
             if (K in inv) != (not act(pi, root_of(K)).positive):
                 return False
     return True
 
-
-def _level2_elements(n: int):
-    from .core import enumerate_B
-    return enumerate_B(n, 2)

@@ -16,7 +16,6 @@ from bruhatb.orders import (
     canonical_form,
     chains_bijection_check,
     check_extrema,
-    class_members,
     enumerate_admissible,
     flip_candidates,
     inv_injectivity_check,
@@ -27,6 +26,7 @@ from bruhatb.orders import (
 from bruhatb.verify import (
     blocking_agreement,
     case_report,
+    class_flip_candidates_oracle,
     crossing_agreement,
     falsified_case,
     flip_candidate_by_blocking,
@@ -102,10 +102,7 @@ def test_criterion_3_type_b_level2_extrema():
         assert len(classes) == len(p.nodes)
         # independent route: blocking-based flip candidacy per class
         for node in p.nodes.values():
-            members = class_members(node.canon)
-            direct = set()
-            for m in members:
-                direct |= flip_candidates(m)
+            direct = class_flip_candidates_oracle(node.canon)
             blocking = {K for K in enumerate_B(n, 3)
                         if flip_candidate_by_blocking(node.canon, K)}
             assert blocking == direct

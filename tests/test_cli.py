@@ -128,7 +128,37 @@ class TestVerify:
         assert "FAIL" in out and "counterexample" in out
 
 
+    def test_rank_below_two_is_usage_error(self, capsys):
+        assert main(["verify", "--suite", "all", "--n", "0"]) == 2
+        assert "--n >= 2" in capsys.readouterr().err
+
+    def test_nonpositive_jobs_is_usage_error(self, capsys):
+        assert main(["verify", "--suite", "weyl", "--n", "2", "--jobs", "-3"]) == 2
+        assert "--jobs >= 1" in capsys.readouterr().err
+
+    def test_run_without_checks_fails(self, monkeypatch, capsys):
+        import bruhatb.cli as cli
+        monkeypatch.setattr(cli, "run_suite", lambda *a, **kw: [])
+        assert main(["verify", "--suite", "all", "--n", "2"]) == 1
+        out = capsys.readouterr().out
+        assert "FAIL" in out and "checks passed" not in out
+
+    def test_unwritable_report_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "report.json"
+        assert main(["verify", "--suite", "weyl", "--n", "2",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: cannot write")
+
+
 class TestUsage:
+    def test_unwritable_poset_out_is_usage_error(self, tmp_path):
+        proc = run_cli("poset", "--family", "B", "--n", "2", "--k", "1",
+                       "--out", str(tmp_path / "missing" / "poset.json"))
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: cannot write")
+        assert "Traceback" not in proc.stderr
+
+
     def test_missing_verb(self):
         assert run_cli().returncode == 2
 

@@ -6,19 +6,25 @@ import pytest
 
 from bruhatb.core import enumerate_B, format_element, normalize_orbit, packet_B, star
 from bruhatb.orders import (
+    OrderClass,
+    build_poset,
+    class_flip_candidates,
     class_members,
-    flip_candidates,
+    dependence_order,
     inversion_set,
     enumerate_admissible,
     rho_min,
 )
 from bruhatb.verify import (
     CASE_IDS,
+    _case_triple,
     CycleError,
     RelationGraph,
     blocking_agreement,
     blocks,
+    blocks_oracle,
     case_report,
+    class_flip_candidates_oracle,
     classification_exhaustive,
     classify_blocked_flip,
     crosses,
@@ -105,10 +111,7 @@ class TestBlocking:
         # element is trapped inside the interval in every member
         found = 0
         for rho in enumerate_admissible("B", 3, 2):
-            members = class_members(rho)
-            available = set()
-            for m in members:
-                available |= flip_candidates(m)
+            available = class_flip_candidates_oracle(rho)
             for K in enumerate_B(3, 3):
                 if K in available:
                     continue
@@ -122,6 +125,42 @@ class TestBlocking:
 
     def test_blocking_agreement_rank2(self):
         assert blocking_agreement(2)["result"]
+
+
+class TestHeapAgainstOracle:
+    """Decisions on the dependence order against class enumeration."""
+
+    @pytest.mark.parametrize("family,n,k", [("A", 4, 2), ("B", 3, 2)])
+    def test_classes_are_linear_extensions(self, family, n, k):
+        for rho in enumerate_admissible(family, n, k):
+            below = dependence_order(rho)
+            arcs = tuple((a, b) for j, b in enumerate(rho.seq)
+                         for i, a in enumerate(rho.seq) if below[j] >> i & 1)
+            extensions = linear_extensions(RelationGraph(rho.seq, arcs))
+            members = {m.seq for m in class_members(rho)}
+            assert len(extensions) == len(members)
+            assert set(extensions) == members
+
+    # packets with several components occur only at type B level 1
+    @pytest.mark.parametrize("family,n,k", [
+        ("A", 4, 2), ("A", 5, 2), ("A", 6, 4),
+        ("B", 2, 1), ("B", 3, 1), ("B", 3, 2), ("B", 4, 2)])
+    def test_class_flip_candidates_every_class(self, family, n, k):
+        for node in build_poset(family, n, k).nodes.values():
+            assert class_flip_candidates(OrderClass(node.canon)) == \
+                class_flip_candidates_oracle(node.canon), str(node.canon)
+
+    def test_blocks_every_case_rank3(self):
+        cases = 0
+        for node in build_poset("B", 3, 2).nodes.values():
+            rho = node.canon
+            for K in enumerate_B(3, 3):
+                S = packet_B(K).elements
+                for x in rho.seq:
+                    if x not in S:
+                        assert blocks(rho, x, S) == blocks_oracle(rho, x, S)
+                        cases += 1
+        assert cases == 546
 
 
 class TestEscapeWitness:
@@ -142,10 +181,7 @@ class TestEscapeWitness:
 
     def test_blocked_x_rejected(self):
         for rho in enumerate_admissible("B", 3, 2):
-            members = class_members(rho)
-            available = set()
-            for m in members:
-                available |= flip_candidates(m)
+            available = class_flip_candidates_oracle(rho)
             for K in enumerate_B(3, 3):
                 if K in available:
                     continue
@@ -268,21 +304,26 @@ class TestClassification:
             classify_blocked_flip(rho, star((2, 1)))
 
     def test_witness_is_external(self):
+        checked = 0
         for rho in enumerate_admissible("B", 3, 2):
-            members = class_members(rho)
-            available = set()
-            for m in members:
-                available |= flip_candidates(m)
+            available = class_flip_candidates_oracle(rho)
             inv = inversion_set(rho)
+            members = class_members(rho)
             for K in enumerate_B(3, 3):
                 if K in available or K in inv:
                     continue
                 case_id, x = classify_blocked_flip(rho, K)
+                # the matched chain holds in every member of the class
+                a, b, c = _case_triple(case_id, K, x)
+                assert all(m.positions[a] < m.positions[b] < m.positions[c]
+                           for m in members)
+                checked += 1
                 if K.kind == "star":
                     assert abs(x) not in K.entries
                 else:
                     triple = make_case(case_id, K, x, 3)
                     assert len(triple.seq) >= 3
+        assert checked == 105
 
     def test_nonmaximal_always_has_flip(self):
         assert nonmaximal_has_flip(2)["result"]
