@@ -1,8 +1,9 @@
 """Command-line front end: enumeration, posets, chains, verification, export.
 
 Thin adapters over the library; exit status 0 on success, 1 when a
-verification suite reports a failure or runs no check, 2 on usage errors
-including unsupported ranks or levels and an --out that cannot be written.
+verification suite reports a failure (a check that raises is reported as a
+failure) or runs no check, 2 on usage errors including unsupported ranks or
+levels and an --out that cannot be written.
 """
 
 from __future__ import annotations

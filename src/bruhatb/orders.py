@@ -73,6 +73,12 @@ def _upper_elements(family: str, n: int, k: int) -> list:
 
 
 @lru_cache(maxsize=None)
+def _standard_order(family: str, n: int, k: int) -> tuple:
+    """The ground set in standard (element_key) order, enumerated once."""
+    return tuple(ground_set(family, n, k))
+
+
+@lru_cache(maxsize=None)
 def _packet_table(family: str, n: int, k: int) -> tuple[tuple[object, Packet], ...]:
     """(K, packet of K) for every level-(k+1) element K, in label order."""
     out = []
@@ -183,11 +189,17 @@ def packet_flip(rho: TotalOrder, K) -> TotalOrder:
     return TotalOrder(rho.family, rho.n, rho.k, tuple(seq))
 
 
+@lru_cache(maxsize=None)
+def _packets(family: str, n: int, k: int) -> dict:
+    """Level-(k+1) element -> its packet (read-only)."""
+    return dict(_packet_table(family, n, k))
+
+
 def _packet_of(family: str, n: int, k: int, K) -> Packet:
-    for K2, packet in _packet_table(family, n, k):
-        if K2 == K:
-            return packet
-    raise ValueError(f"{format_element(K)} is not a level-{k + 1} element")
+    packet = _packets(family, n, k).get(K)
+    if packet is None:
+        raise ValueError(f"{format_element(K)} is not a level-{k + 1} element")
+    return packet
 
 
 @lru_cache(maxsize=None)
@@ -248,12 +260,15 @@ def canonical_form(rho: TotalOrder) -> OrderClass:
     """
     seq = rho.seq
     below = dependence_order(rho)
-    left = sorted(range(len(seq)), key=lambda i: element_key(seq[i]))
+    pos = {e: i for i, e in enumerate(seq)}
+    left = [pos[e] for e in _standard_order(rho.family, rho.n, rho.k)]
     placed = 0
     out = []
     while left:
-        j = next(i for i in left if not below[i] & ~placed)
-        left.remove(j)
+        for t, j in enumerate(left):
+            if not below[j] & ~placed:
+                break
+        del left[t]
         placed |= 1 << j
         out.append(seq[j])
     return OrderClass(TotalOrder(rho.family, rho.n, rho.k, tuple(out)))
@@ -304,17 +319,32 @@ def class_flip_candidates(r: OrderClass) -> frozenset:
     class is one ordering, so the components are tested one at a time.
     """
     rho = r.canon
-    below = dependence_order(rho)
+    return frozenset(_class_flips(rho, dependence_order(rho)))
+
+
+def _class_flips(rho: TotalOrder, below: list[int]) -> list:
+    """class_flip_candidates of rho's class given rho's dependence order.
+
+    Listed in label order, which is the element_key order.
+    """
     index = {e: i for i, e in enumerate(rho.seq)}
 
     def separated(chain) -> bool:
         ps = [index[e] for e in chain]
         lo, hi = min(ps), max(ps)
-        return any(below[hi] >> x & 1 and below[x] >> lo & 1
-                   for x in range(lo + 1, hi) if x not in ps)
+        # below hi, after lo, outside the chain; some of it above lo?
+        rest = below[hi] & -(2 << lo)
+        for p in ps:
+            rest &= ~(1 << p)
+        while rest:
+            x = rest & -rest
+            if below[x.bit_length() - 1] >> lo & 1:
+                return True
+            rest ^= x
+        return False
 
-    return frozenset(K for K, packet in _packet_table(rho.family, rho.n, rho.k)
-                     if not any(separated(c) for c in packet.components))
+    return [K for K, packet in _packet_table(rho.family, rho.n, rho.k)
+            if not any(separated(c) for c in packet.components)]
 
 
 def _flip_in_class(rho: TotalOrder, below: list[int], packet: Packet) -> TotalOrder:
@@ -400,7 +430,7 @@ def build_poset(family: str, n: int, k: int,
         max_nodes = int(os.environ.get("BRUHAT_MAX_NODES", DEFAULT_MAX_NODES))
 
     poset = BruhatPoset(family, n, k)
-    packets = dict(_packet_table(family, n, k))
+    packets = _packets(family, n, k)
     start = canonical_form(rho_min(family, n, k)).canon
     poset.min_key = start.seq
     poset.nodes[start.seq] = PosetNode(start, inversion_set(start), 0)
@@ -409,8 +439,9 @@ def build_poset(family: str, n: int, k: int,
         key = queue.popleft()
         node = poset.nodes[key]
         below = dependence_order(node.canon)
-        candidates = class_flip_candidates(OrderClass(node.canon))
-        for K in sorted(candidates - node.inv, key=element_key):
+        for K in _class_flips(node.canon, below):
+            if K in node.inv:
+                continue
             flipped = canonical_form(
                 _flip_in_class(node.canon, below, packets[K])).canon
             if flipped.seq not in poset.nodes:
@@ -446,41 +477,66 @@ def check_extrema(p: BruhatPoset) -> ExtremaReport:
 
 
 def maximal_chains(p: BruhatPoset) -> list[tuple]:
-    """Edge-label sequences of all minimum-to-maximum paths."""
+    """Edge-label sequences of all minimum-to-maximum paths.
+
+    Depth first, successors in label order: one path of labels and an
+    explicit stack of successor iterators; a chain is copied out only when
+    the path reaches the top node.
+    """
     rep = check_extrema(p)
     if not (rep.unique_min and rep.unique_max):
         raise ValueError("maximal chains need unique extrema")
     full = p.full_inv
-    succ: dict = {}
-    for s, d, K in p.edges:
-        succ.setdefault(s, []).append((element_key(K), d, K))
-    for v in succ.values():
-        v.sort(key=lambda t: t[0])
+    ids = {key: i for i, key in enumerate(p.nodes)}
+    top = next(ids[key] for key, nd in p.nodes.items() if nd.inv == full)
+    succ: list[list] = [[] for _ in ids]
+    for s, d, K in sorted(p.edges, key=lambda e: element_key(e[2])):
+        succ[ids[s]].append((ids[d], K))
+    start = ids[p.min_key]
+    if start == top:
+        return [()]
     chains = []
-    stack = [(p.min_key, ())]
+    path: list = []
+    stack = [iter(succ[start])]
     while stack:
-        key, labels = stack.pop()
-        if p.nodes[key].inv == full:
-            chains.append(labels)
-            continue
-        for _sk, dst, K in reversed(succ.get(key, ())):
-            stack.append((dst, labels + (K,)))
+        for dst, K in stack[-1]:
+            if dst == top:
+                chains.append((*path, K))
+            else:
+                path.append(K)
+                stack.append(iter(succ[dst]))
+            break
+        else:
+            stack.pop()
+            if path:
+                path.pop()
     return chains
 
 
 def enumerate_admissible(family: str, n: int, k: int) -> list[TotalOrder]:
-    """All admissible orderings, by backtracking over packet orientations."""
+    """All admissible orderings, by backtracking over packet-chain prefixes.
+
+    In an admissible ordering the placed elements of every packet component
+    form a prefix of the component in the packet's orientation, and the
+    first element placed from a packet (an end of its component) fixes that
+    orientation.  So an element is placed only when it comes next along
+    every component holding it; this cuts exactly the branches that have no
+    completion.
+    """
     ground = ground_set(family, n, k)
-    partners: dict = {e: [] for e in ground}
+    # per element: (packet id, component id, index from the front, from the back)
+    steps: dict = {e: [] for e in ground}
+    components = 0
     for pid, (_K, packet) in enumerate(_packet_table(family, n, k)):
         for chain in packet.components:
-            for a, b in itertools.combinations(chain, 2):
-                partners[a].append((b, pid, True))   # a precedes b in packet
-                partners[b].append((a, pid, False))
+            for i, e in enumerate(chain):
+                steps[e].append((pid, components, i, len(chain) - 1 - i))
+            components += 1
+    done = [0] * components      # placed elements per component
+    orient: dict = {}            # packet id -> True when in packet order
     out = []
     placed: list = []
     placed_set: set = set()
-    orient: dict = {}
 
     def extend():
         if len(placed) == len(ground):
@@ -491,23 +547,22 @@ def enumerate_admissible(family: str, n: int, k: int) -> list[TotalOrder]:
                 continue
             fixed = []
             ok = True
-            for other, pid, e_first in partners[e]:
-                if other not in placed_set:
-                    continue
-                # other is already placed, so packet pid is forward only if
-                # the packet order puts other before e
-                forward = not e_first
-                if pid in orient:
-                    if orient[pid] != forward:
-                        ok = False
-                        break
-                else:
-                    orient[pid] = forward
+            for pid, c, front, back in steps[e]:
+                forward = orient.get(pid)
+                if forward is None:     # fixed by an end; a middle fails below
+                    forward = orient[pid] = not front
                     fixed.append(pid)
+                if done[c] != (front if forward else back):
+                    ok = False
+                    break
             if ok:
                 placed.append(e)
                 placed_set.add(e)
+                for _pid, c, _front, _back in steps[e]:
+                    done[c] += 1
                 extend()
+                for _pid, c, _front, _back in steps[e]:
+                    done[c] -= 1
                 placed.pop()
                 placed_set.remove(e)
             for pid in fixed:

@@ -120,10 +120,15 @@ def blocks(rho: TotalOrder, x, S) -> bool:
     S = set(S)
     if x in S:
         raise ValueError("a blocking element must lie outside S")
-    below = dependence_order(rho)
     index = {e: i for i, e in enumerate(rho.seq)}
-    return (any(below[index[x]] >> index[s] & 1 for s in S)
-            and any(below[index[s]] >> index[x] & 1 for s in S))
+    return _blocks(dependence_order(rho), index, x, S)
+
+
+def _blocks(below: list[int], index: dict, x, S) -> bool:
+    """blocks, given rho's dependence order and positions."""
+    i = index[x]
+    return (any(below[i] >> index[s] & 1 for s in S)
+            and any(below[index[s]] >> i & 1 for s in S))
 
 
 def blocks_oracle(rho: TotalOrder, x, S) -> bool:
@@ -141,7 +146,9 @@ def blocks_oracle(rho: TotalOrder, x, S) -> bool:
 def flip_candidate_by_blocking(rho: TotalOrder, K) -> bool:
     """Class flip candidacy decided by absence of blocking elements."""
     S = packet_B(K).elements
-    return not any(blocks(rho, x, S) for x in rho.seq if x not in S)
+    below = dependence_order(rho)
+    index = {e: i for i, e in enumerate(rho.seq)}
+    return not any(_blocks(below, index, x, S) for x in rho.seq if x not in S)
 
 
 def interval_escape_witness(rho: TotalOrder, S, x) -> TotalOrder:
@@ -551,7 +558,11 @@ def classify_blocked_flip(rho: TotalOrder, K):
         raise ValueError("classification applies to type B level-2 orderings")
     if K in class_flip_candidates(canonical_form(rho)) or K in inversion_set(rho):
         raise ValueError("flip at K is available or already inverted")
-    below = dependence_order(rho)
+    return _match_pattern(rho, dependence_order(rho), K)
+
+
+def _match_pattern(rho: TotalOrder, below: list[int], K):
+    """classify_blocked_flip past its precondition, given rho's dependence order."""
     index = {e: i for i, e in enumerate(rho.seq)}
     precedes = lambda a, b: below[index[b]] >> index[a] & 1
     xs = [v for v in range(-rho.n, rho.n + 1) if v != 0]
@@ -620,12 +631,13 @@ def classification_exhaustive(n: int) -> dict:
     checked = 0
     for rho in enumerate_admissible("B", n, 2):
         skip = class_flip_candidates(canonical_form(rho)) | inversion_set(rho)
+        below = dependence_order(rho)
         for K in enumerate_B(n, 3):
             if K in skip:
                 continue
             checked += 1
             try:
-                classify_blocked_flip(rho, K)
+                _match_pattern(rho, below, K)
             except ClassifyError:
                 bad = {"rho": str(rho), "K": format_element(K)}
                 break
@@ -689,9 +701,9 @@ def run_suite(name: str, n: int = 3, jobs: int = 1) -> list[dict]:
     if jobs > 1:
         from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(lambda t: t(), tasks))
+            results = list(pool.map(_run_task, tasks))
     else:
-        results = [t() for t in tasks]
+        results = [_run_task(t) for t in tasks]
     out: list[dict] = []
     for r in results:
         if isinstance(r, list):
@@ -699,6 +711,17 @@ def run_suite(name: str, n: int = 3, jobs: int = 1) -> list[dict]:
         else:
             out.append(r)
     return out
+
+
+def _run_task(task):
+    """A task's reports, or one failed report naming the exception it raised."""
+    try:
+        return task()
+    except Exception as exc:
+        import traceback   # here, not at the top: it adds to every import of bruhatb
+        rep = _report("task-raised", {"error": f"{type(exc).__name__}: {exc}"}, False)
+        rep["traceback"] = traceback.format_exc()
+        return rep
 
 
 def _suite_tasks(name: str, n: int):

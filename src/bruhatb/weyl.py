@@ -48,7 +48,7 @@ class SignedPermutation:
 
     def __post_init__(self):
         n = len(self.images)
-        if sorted(abs(v) for v in self.images) != list(range(1, n + 1)):
+        if {abs(v) for v in self.images} != set(range(1, n + 1)):
             raise ValueError(f"not a signed permutation window: {self.images}")
 
     @property
@@ -60,7 +60,9 @@ class SignedPermutation:
 
     def compose(self, other: "SignedPermutation") -> "SignedPermutation":
         """self after other."""
-        return SignedPermutation(tuple(self(other(i)) for i in range(1, self.n + 1)))
+        w = self.images
+        return SignedPermutation(tuple(w[v - 1] if v > 0 else -w[-v - 1]
+                                       for v in other.images))
 
     def inverse(self) -> "SignedPermutation":
         inv = [0] * self.n
@@ -405,9 +407,10 @@ def chain_to_word(labels, family: str, n: int) -> ReducedWord:
     prev = order_to_perm(rho)
     letters = []
     for K in labels:
-        if K not in flip_candidates(rho):
-            raise ChainError(f"label {K} is not flippable at its step")
-        rho = packet_flip(rho, K)
+        try:
+            rho = packet_flip(rho, K)
+        except ValueError as exc:   # FlipError, or not a level-2 element
+            raise ChainError(f"label {K} is not flippable at its step") from exc
         cur = order_to_perm(rho)
         g = table.letter(prev, cur)
         if g is None:

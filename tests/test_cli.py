@@ -128,6 +128,22 @@ class TestVerify:
         assert "FAIL" in out and "counterexample" in out
 
 
+    def test_raising_task_fails_the_run(self, monkeypatch, capsys):
+        import bruhatb.verify as verify
+
+        def boom():
+            raise ValueError("internal slip")
+        monkeypatch.setattr(verify, "_suite_tasks",
+                            lambda name, n: [boom, lambda: verify._report(
+                                "demo", {"n": n}, True)])
+        assert main(["verify", "--suite", "weyl", "--n", "2"]) == 1
+        captured = capsys.readouterr()
+        fail = [line for line in captured.out.splitlines()
+                if line.startswith("FAIL")]
+        assert len(fail) == 1 and "ValueError: internal slip" in fail[0]
+        assert "in boom" in captured.out    # the traceback is reported
+        assert "ok   demo" in captured.out and not captured.err
+
     def test_rank_below_two_is_usage_error(self, capsys):
         assert main(["verify", "--suite", "all", "--n", "0"]) == 2
         assert "--n >= 2" in capsys.readouterr().err

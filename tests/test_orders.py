@@ -20,6 +20,7 @@ from bruhatb.orders import (
     class_flip_candidates,
     class_members,
     commutes,
+    element_key,
     enumerate_admissible,
     flip_candidates,
     inv_injectivity_check,
@@ -35,6 +36,7 @@ from bruhatb.orders import (
     rho_max,
     rho_min,
 )
+from bruhatb.weyl import reduced_words_brute
 
 A_CASES = [("A", 2, 1), ("A", 3, 1), ("A", 3, 2)]
 B_CASES = [("B", 2, 1), ("B", 2, 2), ("B", 3, 1), ("B", 3, 2)]
@@ -200,7 +202,8 @@ class TestCanonicalForm:
 class TestEnumerateAdmissible:
     @pytest.mark.parametrize("family,n,k",
                              [("B", 2, 1), ("B", 2, 2), ("A", 3, 2),
-                              ("A", 3, 1), ("B", 2, 3)])
+                              ("A", 3, 1), ("B", 2, 3), ("A", 4, 2),
+                              ("B", 3, 1)])
     def test_matches_permutation_filter(self, family, n, k):
         got = {t.seq for t in enumerate_admissible(family, n, k)}
         expected = {t.seq for t in admissible_orderings_filter(family, n, k)}
@@ -212,6 +215,12 @@ class TestEnumerateAdmissible:
         assert len(enumerate_admissible("A", 4, 2)) == 16
         assert len(enumerate_admissible("B", 2, 1)) == 8
         assert len(enumerate_admissible("B", 3, 1)) == 48
+
+    def test_rank4_level2_count_is_reduced_word_count(self):
+        # level-2 admissible orderings of J_4 are the maximal chains of the
+        # weak order on B_4, i.e. the reduced words of its longest element
+        assert len(enumerate_admissible("B", 4, 2)) == \
+            len(reduced_words_brute("B", 4)) == 24024
 
 
 class TestBuildPoset:
@@ -279,6 +288,26 @@ class TestExtremaAndChains:
 
     def test_two_chains_a31(self):
         assert len(maximal_chains(build_poset("A", 3, 1))) == 2
+
+    @pytest.mark.parametrize("family,n,k",
+                             [("A", 4, 1), ("B", 3, 1), ("A", 5, 2),
+                              ("B", 3, 2), ("A", 6, 4)])
+    def test_chains_match_recursive_reference(self, family, n, k):
+        p = build_poset(family, n, k)
+        out_edges = {}
+        for s, d, K in p.edges:
+            out_edges.setdefault(s, []).append((K, d))
+        top = max(p.nodes, key=lambda key: p.nodes[key].rank)
+
+        def paths(key):
+            if key == top:
+                return [()]
+            return [(K,) + rest
+                    for K, d in sorted(out_edges.get(key, []),
+                                       key=lambda e: element_key(e[0]))
+                    for rest in paths(d)]
+
+        assert maximal_chains(p) == paths(p.min_key)
 
     @pytest.mark.parametrize("family,n,k",
                              [("B", 2, 1), ("B", 2, 2), ("B", 3, 2),

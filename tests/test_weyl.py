@@ -250,6 +250,13 @@ class TestSignedPermutation:
         for pi in all_signed_permutations(2):
             assert pi.compose(pi.inverse()) == identity_b(2)
 
+    def test_compose_is_pointwise(self):
+        group = all_signed_permutations(3)
+        for pi in group:
+            for sigma in group:
+                assert pi.compose(sigma).images == \
+                    tuple(pi(sigma(i)) for i in range(1, 4))
+
     def test_negation_equivariance(self):
         pi = SignedPermutation((-2, 1))
         assert pi(-1) == -pi(1) and pi(-2) == -pi(2)
