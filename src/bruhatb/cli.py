@@ -3,7 +3,8 @@
 Thin adapters over the library; exit status 0 on success, 1 when a
 verification suite reports a failure (a check that raises is reported as a
 failure) or runs no check, 2 on usage errors including unsupported ranks or
-levels and an --out that cannot be written.
+levels and an --out that cannot be written.  Suites run their checks
+serially; `verify --jobs N` is still accepted (N >= 1) and changes nothing.
 """
 
 from __future__ import annotations
@@ -47,7 +48,8 @@ def _build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", help="run a verification suite")
     v.add_argument("--suite", choices=SUITE_NAMES, default="all")
     v.add_argument("--n", type=int, default=3)
-    v.add_argument("--jobs", type=int, default=1)
+    v.add_argument("--jobs", type=int, default=1,
+                   help="accepted for compatibility (N >= 1); checks run serially")
     v.add_argument("--out", default=None)
     return parser
 
@@ -119,7 +121,7 @@ def _cmd_verify(args) -> int:
     if args.n < 2 or args.jobs < 1:
         raise ValueError("verify needs --n >= 2 and --jobs >= 1, "
                          f"got --n {args.n} --jobs {args.jobs}")
-    reports = run_suite(args.suite, args.n, args.jobs)
+    reports = run_suite(args.suite, args.n)
     if args.out is not None:
         _emit(reports_to_json(reports), args.out)
     if not reports:

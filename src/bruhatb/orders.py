@@ -276,38 +276,19 @@ def canonical_form(rho: TotalOrder) -> OrderClass:
 
 def class_members(rho: TotalOrder) -> list[TotalOrder]:
     """Every member of the commutation class by swap closure (oracles only)."""
-    seqs = _swap_tree(rho.family, rho.n, rho.k, rho.seq)
-    return [TotalOrder(rho.family, rho.n, rho.k, s)
-            for s in sorted(seqs, key=lambda s: tuple(element_key(e) for e in s))]
-
-
-def _swap_tree(family, n, k, seq) -> dict:
-    """Swap closure of seq: each member -> (predecessor, swapped pair)."""
-    partners = _partners(family, n, k)
-    parent: dict = {seq: None}
-    queue = deque([seq])
+    partners = _partners(rho.family, rho.n, rho.k)
+    seen = {rho.seq}
+    queue = deque([rho.seq])
     while queue:
         cur = queue.popleft()
         for i in range(len(cur) - 1):
             if cur[i + 1] not in partners[cur[i]]:
                 nxt = cur[:i] + (cur[i + 1], cur[i]) + cur[i + 2:]
-                if nxt not in parent:
-                    parent[nxt] = (cur, (cur[i], cur[i + 1]))
+                if nxt not in seen:
+                    seen.add(nxt)
                     queue.append(nxt)
-    return parent
-
-
-def class_swap_path(src: TotalOrder, dst: TotalOrder) -> list[tuple]:
-    """Adjacent commuting pairs swapping src into dst, in application order."""
-    parent = _swap_tree(src.family, src.n, src.k, src.seq)
-    if dst.seq not in parent:
-        raise ValueError("orderings are not in the same commutation class")
-    path = []
-    node = dst.seq
-    while parent[node] is not None:
-        node, pair = parent[node]
-        path.append(pair)
-    return path[::-1]
+    return [TotalOrder(rho.family, rho.n, rho.k, s)
+            for s in sorted(seen, key=lambda s: tuple(element_key(e) for e in s))]
 
 
 def class_flip_candidates(r: OrderClass) -> frozenset:
@@ -389,25 +370,6 @@ class BruhatPoset:
     @property
     def full_inv(self) -> frozenset:
         return frozenset(K for K, _ in _packet_table(self.family, self.n, self.k))
-
-    def is_less(self, src_key, dst_key) -> bool:
-        """Strict order via reachability in the flip DAG."""
-        if src_key == dst_key:
-            return False
-        seen = {src_key}
-        queue = deque([src_key])
-        succ: dict = {}
-        for s, d, _ in self.edges:
-            succ.setdefault(s, []).append(d)
-        while queue:
-            cur = queue.popleft()
-            for nxt in succ.get(cur, ()):
-                if nxt == dst_key:
-                    return True
-                if nxt not in seen:
-                    seen.add(nxt)
-                    queue.append(nxt)
-        return False
 
 
 def build_poset(family: str, n: int, k: int,

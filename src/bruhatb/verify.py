@@ -31,7 +31,6 @@ from .orders import (
     canonical_form,
     class_flip_candidates,
     class_members,
-    class_swap_path,
     commutes,
     dependence_order,
     enumerate_admissible,
@@ -154,38 +153,33 @@ def flip_candidate_by_blocking(rho: TotalOrder, K) -> bool:
 def interval_escape_witness(rho: TotalOrder, S, x) -> TotalOrder:
     """A class member whose interval around S shrinks to exclude x.
 
-    Constructive: pick a member where x already escaped, replay only the
-    swaps internal to the prefix of the interval up to x.  Requires that x
+    rho itself when x already lies outside the interval.  Otherwise, as in
+    blocks: x and its down-set first when nothing of S lies below x, else x
+    and its up-set last, everything else in rho's order.  Requires that x
     does not block S.
     """
     S = set(S)
     if x in S:
         raise ValueError("x must lie outside S")
-    if blocks(rho, x, S):
+    below = dependence_order(rho)
+    index = {e: i for i, e in enumerate(rho.seq)}
+    if _blocks(below, index, x, S):
         raise ValueError("x blocks S; no escape exists")
+    return _escape(rho, below, index, S, x)
 
-    def interval_set(t: TotalOrder) -> set:
-        return set(minimal_chain(t, S))
 
-    if x not in interval_set(rho):
+def _escape(rho: TotalOrder, below: list[int], index: dict, S, x) -> TotalOrder:
+    """interval_escape_witness past its checks, given rho's dependence order."""
+    i = index[x]
+    ps = [index[s] for s in S]
+    if not min(ps) < i < max(ps):
         return rho
-    target = next(m for m in class_members(rho) if x not in interval_set(m))
-    # orient both orders so that x ends up before S
-    smin = min(target.positions[e] for e in S)
-    reverse = target.positions[x] > smin
-    base = rho.reverse() if reverse else rho
-    goal = target.reverse() if reverse else target
-    inside = set(minimal_chain(base, S))
-    T = {y for y in inside if base.positions[y] <= base.positions[x]}
-    seq = list(base.seq)
-    for u, v in class_swap_path(base, goal):
-        if u in T and v in T:
-            iu, iv = seq.index(u), seq.index(v)
-            if abs(iu - iv) != 1:
-                raise RuntimeError("interval swaps lost adjacency")
-            seq[iu], seq[iv] = seq[iv], seq[iu]
-    out = TotalOrder(base.family, base.n, base.k, tuple(seq))
-    return out.reverse() if reverse else out
+    if any(below[i] >> p & 1 for p in ps):      # x and its up-set go last
+        last = [j == i or bool(below[j] >> i & 1) for j in range(len(below))]
+    else:                                       # x and its down-set go first
+        last = [j != i and not below[i] >> j & 1 for j in range(len(below))]
+    order = sorted(range(len(below)), key=last.__getitem__)
+    return TotalOrder(rho.family, rho.n, rho.k, tuple(rho.seq[j] for j in order))
 
 
 # ---------------------------------------------------------------------------
@@ -644,21 +638,28 @@ def classification_exhaustive(n: int) -> dict:
         if bad:
             break
     return _report("blocked-flip-classification", {"n": n, "checked": checked},
-                   bad is None, bad)
+                   bad is None and checked > 0, bad)
 
 
 def escape_witness_agreement(n: int) -> dict:
-    """Constructive interval shrinking matches the blocking predicate."""
+    """Every escape from a packet interval stays in the class and drops x."""
     bad = None
+    instances = 0
     for rho in enumerate_admissible("B", n, 2):
+        below = dependence_order(rho)
+        index = {e: i for i, e in enumerate(rho.seq)}
+        canon = canonical_form(rho).canon
         for K in enumerate_B(n, 3):
             S = packet_B(K).elements
+            interval = set(minimal_chain(rho, S))
             for x in rho.seq:
-                if x in S or blocks(rho, x, S):
+                if x in S or _blocks(below, index, x, S):
                     continue
-                w = interval_escape_witness(rho, S, x)
+                instances += 1
+                w = _escape(rho, below, index, S, x)
                 inside = set(minimal_chain(w, S))
-                if x in inside or not inside <= set(minimal_chain(rho, S)):
+                if (x in inside or not inside <= interval
+                        or w is not rho and canonical_form(w).canon != canon):
                     bad = {"rho": str(rho), "K": format_element(K),
                            "x": format_element(x)}
                     break
@@ -666,7 +667,8 @@ def escape_witness_agreement(n: int) -> dict:
                 break
         if bad:
             break
-    return _report("interval-escape-witness", {"n": n}, bad is None, bad)
+    return _report("interval-escape-witness", {"n": n, "instances": instances},
+                   bad is None and instances > 0, bad)
 
 
 def obstruction_case_suite(n: int = 3) -> list[dict]:
@@ -693,19 +695,13 @@ def nonmaximal_has_flip(n: int) -> dict:
                    {"canon": str(stuck[0])} if stuck else None)
 
 
-def run_suite(name: str, n: int = 3, jobs: int = 1) -> list[dict]:
-    """Run one named verification suite up to rank n."""
+def run_suite(name: str, n: int = 3) -> list[dict]:
+    """Run one named verification suite up to rank n, one check at a time."""
     if name not in SUITE_NAMES:
         raise ValueError(f"unknown suite {name!r}")
-    tasks = _suite_tasks(name, n)
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_run_task, tasks))
-    else:
-        results = [_run_task(t) for t in tasks]
     out: list[dict] = []
-    for r in results:
+    for task in _suite_tasks(name, n):
+        r = _run_task(task)
         if isinstance(r, list):
             out.extend(r)
         else:
@@ -779,8 +775,8 @@ def _suite_tasks(name: str, n: int):
             for k in (1, 2):
                 tasks.append(lambda nn=nn, k=k: crossing_agreement(nn, k))
         tasks.append(lambda: obstruction_case_suite(3))
-        tasks.append(lambda: classification_exhaustive(min(n, 3)))
-        tasks.append(lambda: escape_witness_agreement(2))
+        tasks.append(lambda: classification_exhaustive(3))
+        tasks.append(lambda: escape_witness_agreement(3))
     return tasks
 
 

@@ -24,6 +24,7 @@ from .orders import (
     flip_candidates,
     inversion_set,
     packet_flip,
+    rho_max,
     rho_min,
 )
 
@@ -238,10 +239,6 @@ class GroupTable:
             raise ValueError(f"generator index out of range: {g}")
         return self.compose(self.reflections[g], w)
 
-    def letter(self, w, v):
-        """The generator g with s_g w = v, or None when there is none."""
-        return next((g for g in self.reflections if self.mult(g, w) == v), None)
-
 
 @lru_cache(maxsize=None)
 def group_table(family: str, n: int) -> GroupTable:
@@ -351,8 +348,8 @@ def iso_check(n: int) -> bool:
     table = group_table("B", n)
     mapped = set()
     for src, dst, _K in poset.edges:
-        gen = table.letter(window[src], window[dst])
-        if gen is None:
+        gen = _flip_generator(poset.nodes[src].canon, poset.nodes[dst].canon)
+        if gen not in table.reflections or table.mult(gen, window[src]) != window[dst]:
             return False
         mapped.add((window[src].images, window[dst].images, gen))
     return mapped == weak.edges
@@ -396,30 +393,36 @@ def chain_to_word(labels, family: str, n: int) -> ReducedWord:
     """Replay a maximal chain's flip labels into a reduced word.
 
     Each flip of a level-1 ordering multiplies the corresponding permutation
-    on the left by one simple reflection; the letters are collected in
-    application order.
+    on the left by one simple reflection, read off the slots the flip moved
+    (_flip_generator); the letters are collected in application order.
     """
-    table = group_table(family, n)
     expected = {"A": n * (n - 1) // 2, "B": n * n}[family]
     if len(labels) != expected:
         raise ChainError(f"chain has {len(labels)} labels, expected {expected}")
     rho = rho_min(family, n, 1)
-    prev = order_to_perm(rho)
     letters = []
     for K in labels:
         try:
-            rho = packet_flip(rho, K)
+            flipped = packet_flip(rho, K)
         except ValueError as exc:   # FlipError, or not a level-2 element
             raise ChainError(f"label {K} is not flippable at its step") from exc
-        cur = order_to_perm(rho)
-        g = table.letter(prev, cur)
-        if g is None:
-            raise ChainError("flip step is not a simple reflection")
-        letters.append(g)
-        prev = cur
-    if prev != table.longest:
+        letters.append(_flip_generator(rho, flipped))
+        rho = flipped
+    if rho.seq != rho_max(family, n, 1).seq:
         raise ChainError("chain does not reach the longest element")
     return ReducedWord(family, n, tuple(letters))
+
+
+def _flip_generator(before: TotalOrder, after: TotalOrder) -> int:
+    """The g with s_g order_to_perm(before) = order_to_perm(after) for a flip.
+
+    A level-1 flip swaps the slots labelled g and g + 1 (and their negatives
+    in type B, where g = 0 swaps -1 and 1).  The last slot it moves is
+    therefore index g in type A and index n + g in type B, whose slots run
+    -n..-1, 1..n.
+    """
+    last = max(i for i, (a, b) in enumerate(zip(before.seq, after.seq)) if a != b)
+    return last - before.n if before.family == "B" else last
 
 
 def braid_classify(K) -> str:

@@ -260,12 +260,6 @@ class TestBuildPoset:
         with pytest.raises(PosetOverflowError):
             build_poset("B", 3, 1, max_nodes=10)
 
-    def test_reachability_order(self):
-        p = build_poset("B", 2, 2)
-        (top,) = [k for k, nd in p.nodes.items() if nd.rank == 1]
-        assert p.is_less(p.min_key, top)
-        assert not p.is_less(top, p.min_key)
-
 
 class TestExtremaAndChains:
     @pytest.mark.parametrize("family,n,k",

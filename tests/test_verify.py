@@ -164,8 +164,30 @@ class TestHeapAgainstOracle:
 
 
 class TestEscapeWitness:
-    def test_exhaustive_rank2(self):
-        assert escape_witness_agreement(2)["result"]
+    def test_exhaustive_rank3(self):
+        rep = escape_witness_agreement(3)
+        assert rep["result"] and rep["params"]["instances"] == 888, rep
+
+    def test_rank2_checks_nothing_and_fails(self):
+        rep = escape_witness_agreement(2)
+        assert rep["params"]["instances"] == 0 and not rep["result"]
+
+    def test_nontrivial_witnesses_are_class_members(self):
+        nontrivial = 0
+        for rho in enumerate_admissible("B", 3, 2):
+            members = {m.seq for m in class_members(rho)}
+            for K in enumerate_B(3, 3):
+                S = packet_B(K).elements
+                interval = set(minimal_chain(rho, S))
+                for x in interval - S:
+                    if blocks(rho, x, S):
+                        continue
+                    nontrivial += 1
+                    w = interval_escape_witness(rho, S, x)
+                    inside = set(minimal_chain(w, S))
+                    assert w.seq in members, (str(rho), str(K), x)
+                    assert x not in inside and inside < interval
+        assert nontrivial == 124
 
     def test_witness_properties_sampled(self):
         rho = rho_min("B", 3, 2)
@@ -297,6 +319,10 @@ class TestClassification:
     def test_exhaustive_rank3(self):
         rep = classification_exhaustive(3)
         assert rep["result"], rep
+
+    def test_rank2_checks_nothing_and_fails(self):
+        rep = classification_exhaustive(2)
+        assert rep["params"]["checked"] == 0 and not rep["result"]
 
     def test_precondition_enforced(self):
         rho = rho_min("B", 2, 2)

@@ -12,6 +12,7 @@ from bruhatb.orders import (
     enumerate_admissible,
     inversion_set,
     maximal_chains,
+    packet_flip,
     rho_max,
     rho_min,
 )
@@ -27,6 +28,7 @@ from bruhatb.weyl import (
     chain_to_word,
     check_root_inversions,
     flip_braid_correspondence,
+    group_table,
     identity_b,
     iso_check,
     level1_group_bijection_check,
@@ -199,6 +201,22 @@ class TestChainWords:
         for labels in maximal_chains(build_poset("A", 3, 1)):
             word = chain_to_word(labels, "A", 3)
             assert word.is_reduced() and word.evaluate() == longest_a(3)
+
+    @pytest.mark.parametrize("family,n", [("B", 3), ("A", 4), ("A", 5)])
+    def test_letters_match_group_reference(self, family, n):
+        # reference: each letter is the generator g with s_g w = v
+        table = group_table(family, n)
+        for labels in maximal_chains(build_poset(family, n, 1)):
+            rho = rho_min(family, n, 1)
+            w = order_to_perm(rho)
+            expected = []
+            for K in labels:
+                rho = packet_flip(rho, K)
+                v = order_to_perm(rho)
+                (g,) = [g for g in table.reflections if table.mult(g, w) == v]
+                expected.append(g)
+                w = v
+            assert chain_to_word(labels, family, n).letters == tuple(expected)
 
     def test_partial_chain_rejected(self):
         chains = maximal_chains(build_poset("B", 2, 1))
