@@ -60,9 +60,11 @@ for rho in enumerate_admissible("B", 3, 2):
               f"witness x={x}")
         break
 
-# Each pattern is certified by a sweep over packet orientations: every
-# linear extension of every acyclic orientation exhibits a smaller or
-# later packet that cannot cross back.
+# Each pattern is certified over the admissible orderings of its ambient
+# double packet that keep the pattern's pinned pairs: every one of them
+# exhibits a smaller or later packet that cannot cross back.  The counts are
+# the orientations of the packets the pattern leaves open, those realised,
+# and the orderings checked.
 for case in standard_cases():
     rep = case_report(case)
     print(f"{case.case_id}: ok={rep.ok} "

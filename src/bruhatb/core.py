@@ -211,6 +211,8 @@ def parse_element(text: str):
         return vals
     if s.startswith("[") and s.endswith("]"):
         parts = s[1:-1].split(",")
+        if not 2 <= len(parts) <= 4:    # the level, counting a star
+            raise ValueError(f"bracket elements have levels 2-4, got {text!r}")
         if parts[-1] == "*":
             return star(int(v) for v in parts[:-1])
         return normalize_orbit(int(v) for v in parts)

@@ -476,21 +476,29 @@ def maximal_chains(p: BruhatPoset) -> list[tuple]:
 
 
 def enumerate_admissible(family: str, n: int, k: int) -> list[TotalOrder]:
-    """All admissible orderings, by backtracking over packet-chain prefixes.
+    """All admissible orderings of the level-k ground set (admissible_sequences)."""
+    packets = [packet.components for _K, packet in _packet_table(family, n, k)]
+    return [TotalOrder(family, n, k, seq)
+            for seq in admissible_sequences(ground_set(family, n, k), packets)]
 
-    In an admissible ordering the placed elements of every packet component
-    form a prefix of the component in the packet's orientation, and the
-    first element placed from a packet (an end of its component) fixes that
-    orientation.  So an element is placed only when it comes next along
-    every component holding it; this cuts exactly the branches that have no
-    completion.
+
+def admissible_sequences(ground, packets) -> list[tuple]:
+    """Orderings of ground that keep each packet in packet order or reversed.
+
+    packets lists each packet's component chains.  Backtracking over
+    packet-chain prefixes: in such an ordering the placed elements of every
+    component form a prefix of the component in the packet's orientation,
+    and the first element placed from a packet (an end of its component)
+    fixes that orientation.  So an element is placed only when it comes next
+    along every component holding it; this cuts exactly the branches that
+    have no completion.  Orderings come out in backtracking order over the
+    listing of ground.
     """
-    ground = ground_set(family, n, k)
     # per element: (packet id, component id, index from the front, from the back)
     steps: dict = {e: [] for e in ground}
     components = 0
-    for pid, (_K, packet) in enumerate(_packet_table(family, n, k)):
-        for chain in packet.components:
+    for pid, chains in enumerate(packets):
+        for chain in chains:
             for i, e in enumerate(chain):
                 steps[e].append((pid, components, i, len(chain) - 1 - i))
             components += 1
@@ -502,7 +510,7 @@ def enumerate_admissible(family: str, n: int, k: int) -> list[TotalOrder]:
 
     def extend():
         if len(placed) == len(ground):
-            out.append(TotalOrder(family, n, k, tuple(placed)))
+            out.append(tuple(placed))
             return
         for e in ground:
             if e in placed_set:

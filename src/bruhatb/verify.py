@@ -3,9 +3,12 @@
 Everything here is desk-scale verification: a linear scan that decides
 whether two elements can exchange their relative order inside a commutation
 class, blocking and pattern tests decided on the class's dependence order,
-transitive unions of partial orders with linear-extension enumeration, and a
-witness search that certifies the seven obstruction patterns arising when a
-level-3 flip is blocked.  Oracles that enumerate the class by swaps
+and a witness search that certifies the seven obstruction patterns arising
+when a level-3 flip is blocked.  Each obstruction case enumerates the
+admissible orderings of its ambient double packet (the orderings that keep
+every packet of the ambient level-4 element in packet order or reversed)
+with orders.admissible_sequences, the backtracker behind
+enumerate_admissible.  Oracles that enumerate the class by swaps
 (crosses_oracle, blocks_oracle, class_flip_candidates_oracle) live alongside.
 """
 
@@ -28,6 +31,7 @@ from .core import (
 from .orders import (
     OrderClass,
     TotalOrder,
+    admissible_sequences,
     canonical_form,
     class_flip_candidates,
     class_members,
@@ -37,10 +41,6 @@ from .orders import (
     flip_candidates,
     inversion_set,
 )
-
-
-class CycleError(ValueError):
-    """Raised when a relation expected to be acyclic has a cycle."""
 
 
 class ClassifyError(RuntimeError):
@@ -180,136 +180,6 @@ def _escape(rho: TotalOrder, below: list[int], index: dict, S, x) -> TotalOrder:
         last = [j != i and not below[i] >> j & 1 for j in range(len(below))]
     order = sorted(range(len(below)), key=last.__getitem__)
     return TotalOrder(rho.family, rho.n, rho.k, tuple(rho.seq[j] for j in order))
-
-
-# ---------------------------------------------------------------------------
-# relation graphs
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class RelationGraph:
-    """A relation as a directed graph; order is reachability."""
-
-    vertices: tuple
-    arcs: tuple
-
-    @staticmethod
-    def from_chain(chain, forward: bool = True) -> "RelationGraph":
-        seq = tuple(chain) if forward else tuple(reversed(chain))
-        return RelationGraph(seq, tuple(zip(seq, seq[1:])))
-
-
-@dataclass(frozen=True)
-class UnionResult:
-    poset: RelationGraph | None
-    cycle: tuple | None
-
-
-def transitive_union(rels) -> UnionResult:
-    """Merge relations over the union of their vertex sets.
-
-    Returns the merged graph, or a witness cycle when the union fails to be
-    antisymmetric.
-    """
-    vertices: list = []
-    seen = set()
-    arcs: list = []
-    for g in rels:
-        for v in g.vertices:
-            if v not in seen:
-                seen.add(v)
-                vertices.append(v)
-        arcs.extend(g.arcs)
-    merged = RelationGraph(tuple(vertices), tuple(dict.fromkeys(arcs)))
-    cycle = _find_cycle(merged)
-    if cycle is not None:
-        return UnionResult(None, tuple(cycle))
-    return UnionResult(merged, None)
-
-
-def _find_cycle(g: RelationGraph):
-    succ: dict = {v: [] for v in g.vertices}
-    for u, v in g.arcs:
-        succ[u].append(v)
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = {v: WHITE for v in g.vertices}
-    stack_path: list = []
-
-    def dfs(v):
-        color[v] = GRAY
-        stack_path.append(v)
-        for w in succ[v]:
-            if color[w] == GRAY:
-                return stack_path[stack_path.index(w):]
-            if color[w] == WHITE:
-                found = dfs(w)
-                if found is not None:
-                    return found
-        stack_path.pop()
-        color[v] = BLACK
-        return None
-
-    for v in g.vertices:
-        if color[v] == WHITE:
-            found = dfs(v)
-            if found is not None:
-                return found
-    return None
-
-
-def linear_extensions(g: RelationGraph) -> list[tuple]:
-    """All linear extensions, in backtracking order over the vertex listing."""
-    if _find_cycle(g) is not None:
-        raise CycleError("relation has a cycle; no linear extensions")
-    succ: dict = {v: [] for v in g.vertices}
-    indeg = {v: 0 for v in g.vertices}
-    for u, v in g.arcs:
-        if v not in succ[u]:
-            succ[u].append(v)
-            indeg[v] += 1
-    out: list[tuple] = []
-    prefix: list = []
-
-    def extend():
-        if len(prefix) == len(g.vertices):
-            out.append(tuple(prefix))
-            return
-        for v in g.vertices:
-            if indeg[v] == 0 and v not in prefix_set:
-                prefix.append(v)
-                prefix_set.add(v)
-                for w in succ[v]:
-                    indeg[w] -= 1
-                extend()
-                for w in succ[v]:
-                    indeg[w] += 1
-                prefix_set.remove(v)
-                prefix.pop()
-
-    prefix_set: set = set()
-    extend()
-    return out
-
-
-def linear_extensions_filter(g: RelationGraph) -> list[tuple]:
-    """Permutation-filter oracle for linear_extensions (few vertices only)."""
-    if _find_cycle(g) is not None:
-        raise CycleError("relation has a cycle; no linear extensions")
-    reach: dict = {v: {v} for v in g.vertices}
-    changed = True
-    while changed:
-        changed = False
-        for u, v in g.arcs:
-            new = reach[v] - reach[u]
-            if new:
-                reach[u] |= new
-                changed = True
-    out = []
-    for perm in itertools.permutations(g.vertices):
-        pos = {v: i for i, v in enumerate(perm)}
-        if all(pos[u] < pos[v] for u, v in g.arcs):
-            out.append(perm)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -468,20 +338,23 @@ def _ambient_for_case(case: CaseSpec):
 def case_report(case: CaseSpec) -> CaseReport:
     """Witness search certifying one obstruction pattern.
 
-    Record the packet orientations forced by the case sequence, sweep every
-    orientation of the undetermined packets, and demand that each linear
-    extension of every acyclic combination exhibit a packet in standard order
-    that either starts strictly above the blocked packet without crossing it
-    at the bottom, or starts level with it and ends strictly inside without
-    crossing at the top.
+    Two elements of the case sequence that share a member packet of the
+    ambient element are a pinned pair.  List the admissible orderings of the
+    ambient double packet (each member packet in packet order or reversed)
+    that keep every pinned pair in the case's order, and demand that each
+    exhibit a packet in standard order that either starts strictly above the
+    blocked packet without crossing it at the bottom, or starts level with it
+    and ends strictly inside without crossing at the top.  The packets
+    holding no pinned pair are open: `orientations` counts their
+    orientations, `acyclic` those that some listed ordering realises, and
+    `extensions` the listed orderings.
     """
-    n = case.n
     R, T = _ambient_for_case(case)
     members = sorted(packet_B(R).elements, key=standard_key)
     chains = {S: packet_B(S).components[0] for S in members}
 
-    recorded: dict = {}
-    qpos = {e: i for i, e in enumerate(case.seq)}
+    pinned = []
+    closed = set()
     for q1, q2 in itertools.combinations(case.seq, 2):
         hosts = [S for S in members
                  if q1 in chains[S] and q2 in chains[S]]
@@ -489,33 +362,26 @@ def case_report(case: CaseSpec) -> CaseReport:
             continue
         if len(hosts) > 1:
             raise RuntimeError("a pair lies in two distinct packets")
-        S = hosts[0]
-        chain = chains[S]
-        forward = (qpos[q1] < qpos[q2]) == (chain.index(q1) < chain.index(q2))
-        recorded.setdefault(S, set()).add(forward)
+        pinned.append((q1, q2))
+        closed.add(hosts[0])
 
-    undetermined = [S for S in members if S not in recorded]
-    commute = lambda u, v: commutes(u, v, "B", n, 2)
+    open_chains = [chains[S] for S in members if S not in closed]
+    commute = lambda u, v: commutes(u, v, "B", case.n, 2)
     K_chain = chains[case.K]
-    report = CaseReport(case, True)
-    for assignment in itertools.product((True, False), repeat=len(undetermined)):
-        report.orientations += 1
-        rels = []
-        for S, orients in recorded.items():
-            for forward in orients:
-                rels.append(RelationGraph.from_chain(chains[S], forward))
-        for S, forward in zip(undetermined, assignment):
-            rels.append(RelationGraph.from_chain(chains[S], forward))
-        merged = transitive_union(rels)
-        if merged.poset is None:
+    report = CaseReport(case, True, orientations=2 ** len(open_chains))
+    realised = set()
+    ground = sorted(T, key=standard_key)
+    for ext in admissible_sequences(ground, [(chains[S],) for S in members]):
+        pos = {e: i for i, e in enumerate(ext)}
+        if any(pos[q1] > pos[q2] for q1, q2 in pinned):
             continue
-        report.acyclic += 1
-        for ext in linear_extensions(merged.poset):
-            report.extensions += 1
-            if not _extension_has_witness(ext, members, chains, K_chain, commute):
-                report.ok = False
-                report.failure = ext
-                return report
+        report.extensions += 1
+        realised.add(tuple(pos[c[0]] < pos[c[1]] for c in open_chains))
+        if not _extension_has_witness(ext, members, chains, K_chain, commute):
+            report.ok = False
+            report.failure = ext
+            break
+    report.acyclic = len(realised)
     return report
 
 
@@ -536,10 +402,6 @@ def _extension_has_witness(ext, members, chains, K_chain, commute) -> bool:
                 and not crosses_in_seq(ext, maxP, maxK, commute)):
             return True
     return False
-
-
-def case_check(case: CaseSpec) -> bool:
-    return case_report(case).ok
 
 
 def classify_blocked_flip(rho: TotalOrder, K):
@@ -770,6 +632,16 @@ def _suite_tasks(name: str, n: int):
                 weyl.check_root_inversions(nn)))
             tasks.append(lambda nn=nn: _report(
                 "chain-words-reduced", {"n": nn}, _chain_words_ok(nn)))
+            tasks.append(lambda nn=nn: _report(
+                "level1-group-bijection", {"n": nn},
+                weyl.level1_group_bijection_check(nn)))
+            tasks.append(lambda nn=nn: _report(
+                "flip-braid-correspondence", {"n": nn},
+                weyl.flip_braid_correspondence(nn)))
+            if nn >= 3:     # B(2,2) has no commuting adjacent pair to swap
+                tasks.append(lambda nn=nn: _report(
+                    "swap-commutation-correspondence", {"n": nn},
+                    weyl.swap_commutation_correspondence(nn)))
     if name in ("appendix", "all"):
         for nn in range(2, n + 1):
             for k in (1, 2):

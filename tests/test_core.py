@@ -198,7 +198,8 @@ class TestPacketB:
 
 class TestTextRoundTrip:
     @pytest.mark.parametrize("text", ["[-3,2]", "[2,1,*]", "{1,2}", "-2", "3",
-                                      "[-3,-1,2]", "[3,*]"])
+                                      "[-3,-1,2]", "[3,*]", "[-4,-3,-2,1]",
+                                      "[3,2,1,*]"])
     def test_round_trip(self, text):
         assert format_element(parse_element(text)) == text
 
@@ -218,6 +219,12 @@ class TestTextRoundTrip:
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
             parse_element("0")
+
+    @pytest.mark.parametrize("text", ["[*]", "[5]", "[-5]", "[-4,-3,-2,-1,5]",
+                                      "[4,3,2,1,*]"])
+    def test_rejects_brackets_outside_levels_2_to_4(self, text):
+        with pytest.raises(ValueError):
+            parse_element(text)
 
 
 class TestStandardKey:

@@ -13,6 +13,7 @@ from bruhatb.orders import (
     TotalOrder,
     UnsupportedLevelError,
     admissible_orderings_filter,
+    admissible_sequences,
     build_poset,
     canonical_form,
     chains_bijection_check,
@@ -78,6 +79,19 @@ class TestInversionSet:
     def test_single_reversed_packet(self):
         got = inversion_set(TotalOrder("B", 2, 1, (-1, -2, 2, 1)))
         assert got == frozenset({normalize_orbit((-2, -1))})
+
+    def test_packet_chains_follow_inversion_set(self):
+        # each packet chain is monotone in rho: increasing exactly when its
+        # label lies outside the inversion set
+        from bruhatb.orders import _packet_table
+        for rho in enumerate_admissible("B", 2, 1) + enumerate_admissible("B", 2, 2):
+            inv = inversion_set(rho)
+            pos = rho.positions
+            for K, packet in _packet_table(rho.family, rho.n, rho.k):
+                for chain in packet.components:
+                    ps = [pos[e] for e in chain]
+                    expected = sorted(ps) if K not in inv else sorted(ps, reverse=True)
+                    assert ps == expected, (str(rho), K)
 
 
 class TestFlipCandidates:
@@ -208,6 +222,22 @@ class TestEnumerateAdmissible:
         got = {t.seq for t in enumerate_admissible(family, n, k)}
         expected = {t.seq for t in admissible_orderings_filter(family, n, k)}
         assert got == expected
+
+    def test_sequences_match_permutation_filter(self):
+        # a ground and packets of no family: one packet of two components
+        ground = ("a", "b", "c", "d", "e")
+        packets = [(("a", "b", "c"),), (("c", "d"), ("b", "e"))]
+        got = admissible_sequences(ground, packets)
+        expected = []
+        for perm in itertools.permutations(ground):
+            pos = {e: i for i, e in enumerate(perm)}
+            if all(len({pos[u] < pos[v] for chain in chains
+                        for u, v in zip(chain, chain[1:])}) == 1
+                   for chains in packets):
+                expected.append(perm)
+        # orientations (fwd, fwd) 3, (fwd, rev) 8, (rev, fwd) 8, (rev, rev) 3
+        assert len(got) == len(set(got)) == 22
+        assert set(got) == set(expected)
 
     def test_counts(self):
         assert len(enumerate_admissible("B", 2, 2)) == 2

@@ -1,5 +1,6 @@
-"""Crossing, blocking, relation graphs, and the obstruction case machinery."""
+"""Crossing, blocking, escape witnesses, and the obstruction case machinery."""
 
+import functools
 import itertools
 
 import pytest
@@ -13,13 +14,12 @@ from bruhatb.orders import (
     dependence_order,
     inversion_set,
     enumerate_admissible,
+    maximal_chains,
     rho_min,
 )
 from bruhatb.verify import (
     CASE_IDS,
     _case_triple,
-    CycleError,
-    RelationGraph,
     blocking_agreement,
     blocks,
     blocks_oracle,
@@ -33,14 +33,71 @@ from bruhatb.verify import (
     falsified_case,
     flip_candidate_by_blocking,
     interval_escape_witness,
-    linear_extensions,
-    linear_extensions_filter,
     make_case,
     minimal_chain,
     nonmaximal_has_flip,
+    run_suite,
     standard_cases,
-    transitive_union,
 )
+
+
+def _linear_extensions(seq, below) -> list[tuple]:
+    """Every ordering of seq that lists each position after its down-set."""
+    out = []
+
+    def extend(prefix, placed):
+        if len(prefix) == len(seq):
+            out.append(tuple(seq[j] for j in prefix))
+            return
+        for j in range(len(seq)):
+            if not placed >> j & 1 and not below[j] & ~placed:
+                extend(prefix + [j], placed | 1 << j)
+
+    extend([], 0)
+    return out
+
+
+def _rank3_cases() -> list:
+    """Every instantiation of the seven patterns at rank 3."""
+    J3 = [v for v in range(-3, 4) if v != 0]
+    cases = []
+    for K in enumerate_B(3, 3):
+        ids = [c for c in CASE_IDS
+               if c.startswith("orbit" if K.kind == "orbit" else "star")]
+        for cid in ids:
+            for x in J3:
+                try:
+                    cases.append(make_case(cid, K, x, 3))
+                except ValueError:
+                    continue
+    return cases
+
+
+@functools.cache
+def _b32_admissible() -> tuple:
+    """The admissible B(3,2) orderings, read as the maximal chains of B(3,1)."""
+    return tuple(maximal_chains(build_poset("B", 3, 1)))
+
+
+def _case_counts_reference(case) -> tuple:
+    """(orientations, acyclic, extensions) of a rank-3 case, by filtering.
+
+    At rank 3 every case's ambient double packet is the whole B(3,2) ground
+    set and its packets are all seven level-3 packets, so the case's
+    orderings are the admissible B(3,2) orderings (the maximal chains of
+    B(3,1)) that keep every pair of case.seq sharing a packet in case.seq's
+    order.
+    """
+    packets = {S: packet_B(S).components[0] for S in enumerate_B(3, 3)}
+    pinned = [(q1, q2) for q1, q2 in itertools.combinations(case.seq, 2)
+              if any(q1 in c and q2 in c for c in packets.values())]
+    open_chains = [c for c in packets.values()
+                   if not any(q1 in c and q2 in c for q1, q2 in pinned)]
+    kept = [seq for seq in _b32_admissible()
+            if all(seq.index(q1) < seq.index(q2) for q1, q2 in pinned)]
+    realised = {tuple(seq.index(c[0]) < seq.index(c[1]) for c in open_chains)
+                for seq in kept}
+    return 2 ** len(open_chains), len(realised), len(kept)
 
 
 class TestMinimalChain:
@@ -133,10 +190,7 @@ class TestHeapAgainstOracle:
     @pytest.mark.parametrize("family,n,k", [("A", 4, 2), ("B", 3, 2)])
     def test_classes_are_linear_extensions(self, family, n, k):
         for rho in enumerate_admissible(family, n, k):
-            below = dependence_order(rho)
-            arcs = tuple((a, b) for j, b in enumerate(rho.seq)
-                         for i, a in enumerate(rho.seq) if below[j] >> i & 1)
-            extensions = linear_extensions(RelationGraph(rho.seq, arcs))
+            extensions = _linear_extensions(rho.seq, dependence_order(rho))
             members = {m.seq for m in class_members(rho)}
             assert len(extensions) == len(members)
             assert set(extensions) == members
@@ -215,58 +269,6 @@ class TestEscapeWitness:
                 return
 
 
-class TestRelationGraphs:
-    def test_union_derives_transitivity(self):
-        g1 = RelationGraph.from_chain(("a", "b"))
-        g2 = RelationGraph.from_chain(("b", "c"))
-        res = transitive_union([g1, g2])
-        assert res.cycle is None
-        assert linear_extensions(res.poset) == [("a", "b", "c")]
-
-    def test_union_reports_cycle(self):
-        g1 = RelationGraph.from_chain(("a", "b"))
-        g2 = RelationGraph.from_chain(("a", "b"), forward=False)
-        res = transitive_union([g1, g2])
-        assert res.poset is None
-        assert set(res.cycle) == {"a", "b"}
-
-    def test_inversion_relation_is_acyclic_and_extended(self):
-        # orienting each packet by its inversion status yields a partial
-        # order that the ordering itself extends
-        for rho in enumerate_admissible("B", 2, 1) + enumerate_admissible("B", 2, 2):
-            inv = inversion_set(rho)
-            rels = []
-            from bruhatb.orders import _packet_table
-            for K, packet in _packet_table(rho.family, rho.n, rho.k):
-                for chain in packet.components:
-                    rels.append(RelationGraph.from_chain(chain, K not in inv))
-            res = transitive_union(rels)
-            assert res.cycle is None
-            pos = rho.positions
-            assert all(pos[u] < pos[v] for u, v in res.poset.arcs)
-
-    def test_extension_counts_vs_filter(self):
-        graphs = [
-            RelationGraph(("a", "b"), ()),
-            RelationGraph.from_chain(("a", "b", "c")),
-            RelationGraph.from_chain(packet_B(star((2, 1))).components[0]),
-            RelationGraph(("a", "b", "c", "d"),
-                          (("a", "b"), ("c", "d"))),
-            RelationGraph(("a", "b", "c", "d", "e"),
-                          (("a", "c"), ("b", "c"), ("c", "d"), ("c", "e"))),
-        ]
-        expected = [2, 1, 1, 6, 4]
-        for g, count in zip(graphs, expected):
-            exts = linear_extensions(g)
-            assert len(exts) == count
-            assert sorted(exts) == sorted(linear_extensions_filter(g))
-
-    def test_cyclic_extension_rejected(self):
-        g = RelationGraph(("a", "b"), (("a", "b"), ("b", "a")))
-        with pytest.raises(CycleError):
-            linear_extensions(g)
-
-
 class TestObstructionCases:
     def test_seven_cases_pass(self):
         for case in standard_cases():
@@ -283,21 +285,26 @@ class TestObstructionCases:
         assert len(by_id["orbit3"].seq) == 3
 
     def test_all_instantiations_rank3(self):
-        J3 = [v for v in range(-3, 4) if v != 0]
-        total = 0
-        for K in enumerate_B(3, 3):
-            ids = [c for c in CASE_IDS
-                   if c.startswith("orbit" if K.kind == "orbit" else "star")]
-            for cid in ids:
-                for x in J3:
-                    try:
-                        case = make_case(cid, K, x, 3)
-                    except ValueError:
-                        continue
-                    rep = case_report(case)
-                    total += 1
-                    assert rep.ok and rep.extensions > 0, (cid, str(K), x)
-        assert total == 48
+        cases = _rank3_cases()
+        for case in cases:
+            rep = case_report(case)
+            assert rep.ok and rep.extensions > 0, (case.case_id, str(case.K), case.x)
+        assert len(cases) == 48
+
+    def test_counts_match_chain_reference(self):
+        assert len(_b32_admissible()) == 42
+        for case in _rank3_cases() + [falsified_case()]:
+            rep = case_report(case)
+            got = (rep.orientations, rep.acyclic, rep.extensions)
+            assert got == _case_counts_reference(case), \
+                (case.case_id, str(case.K), case.x)
+
+    def test_ordering_without_witness_fails(self, monkeypatch):
+        import bruhatb.verify as verify
+        monkeypatch.setattr(verify, "_extension_has_witness", lambda *a: False)
+        rep = case_report(standard_cases()[0])
+        assert not rep.ok and rep.extensions == 1
+        assert rep.failure in _b32_admissible()
 
     def test_negative_control_is_vacuous(self):
         rep = case_report(falsified_case())
@@ -354,3 +361,14 @@ class TestClassification:
     def test_nonmaximal_always_has_flip(self):
         assert nonmaximal_has_flip(2)["result"]
         assert nonmaximal_has_flip(3)["result"]
+
+
+class TestWeylSuite:
+    def test_certifies_word_claims(self):
+        reports = run_suite("weyl", 3)
+        names = [(r["check"], r["params"]["n"]) for r in reports]
+        for nn in (2, 3):
+            assert ("level1-group-bijection", nn) in names
+            assert ("flip-braid-correspondence", nn) in names
+        assert ("swap-commutation-correspondence", 3) in names
+        assert len(reports) == 9 and all(r["result"] for r in reports)
