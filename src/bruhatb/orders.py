@@ -15,6 +15,7 @@ import os
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 from .core import (
     Packet,
@@ -70,12 +71,6 @@ def _upper_elements(family: str, n: int, k: int) -> list:
     if k + 1 == 4:
         return sorted(_level_elements(n, 4), key=lambda e: (e.kind, e.entries))
     raise UnsupportedLevelError(f"no packets above level {k}")
-
-
-@lru_cache(maxsize=None)
-def _standard_order(family: str, n: int, k: int) -> tuple:
-    """The ground set in standard (element_key) order, enumerated once."""
-    return tuple(ground_set(family, n, k))
 
 
 @lru_cache(maxsize=None)
@@ -189,36 +184,48 @@ def packet_flip(rho: TotalOrder, K) -> TotalOrder:
     return TotalOrder(rho.family, rho.n, rho.k, tuple(seq))
 
 
-@lru_cache(maxsize=None)
-def _packets(family: str, n: int, k: int) -> dict:
-    """Level-(k+1) element -> its packet (read-only)."""
-    return dict(_packet_table(family, n, k))
-
-
 def _packet_of(family: str, n: int, k: int, K) -> Packet:
-    packet = _packets(family, n, k).get(K)
+    packet = _coding(family, n, k).packets.get(K)
     if packet is None:
         raise ValueError(f"{format_element(K)} is not a level-{k + 1} element")
     return packet
 
 
+class _Coding(NamedTuple):
+    """The ground set numbered in standard order, and its packets on codes."""
+
+    ground: tuple       # code -> element
+    code: dict          # element -> its index in ground
+    partners: tuple     # code -> mask of its packet mates (non-commuting codes)
+    labels: tuple       # (K, components), each (chain of codes, mask), label order
+    packets: dict       # K -> its packet (read-only)
+
+
 @lru_cache(maxsize=None)
-def _partners(family: str, n: int, k: int) -> dict:
-    """Each element's non-commuting partners (packet mates); read-only sets."""
-    out: dict = {e: set() for e in ground_set(family, n, k)}
-    for _K, packet in _packet_table(family, n, k):
+def _coding(family: str, n: int, k: int) -> _Coding:
+    ground = tuple(ground_set(family, n, k))
+    code = {e: c for c, e in enumerate(ground)}
+    partners = [0] * len(ground)
+    labels = []
+    for K, packet in _packet_table(family, n, k):
+        comps = []
         for chain in packet.components:
-            for a, b in itertools.combinations(chain, 2):
-                out[a].add(b)
-                out[b].add(a)
-    return out
+            codes = tuple(code[e] for e in chain)
+            mask = sum(1 << c for c in codes)
+            for c in codes:
+                partners[c] |= mask & ~(1 << c)
+            comps.append((codes, mask))
+        labels.append((K, tuple(comps)))
+    return _Coding(ground, code, tuple(partners), tuple(labels),
+                   dict(_packet_table(family, n, k)))
 
 
 def commutes(a, b, family: str, n: int, k: int) -> bool:
     """Whether a and b are incomparable in every packet containing both."""
     if a == b:
         raise ValueError("commutation needs two distinct elements")
-    return b not in _partners(family, n, k)[a]
+    coding = _coding(family, n, k)
+    return not coding.partners[coding.code[a]] >> coding.code[b] & 1
 
 
 # ---------------------------------------------------------------------------
@@ -235,21 +242,51 @@ class OrderClass:
 def dependence_order(rho: TotalOrder) -> list[int]:
     """The order whose linear extensions are rho's commutation class.
 
-    below[j] is a bitmask of the positions of rho whose elements precede
-    rho.seq[j] in every class member: the transitive closure of the
-    non-commuting pairs, oriented as in rho (the class's heap of pieces).
+    below[c] is a bitmask of the codes (indices in the standard order, see
+    _coding) of the elements that precede the element of code c in every
+    class member: the transitive closure of the non-commuting pairs,
+    oriented as in rho (the class's heap of pieces).  Indexed by code, the
+    masks are the same for every member of the class.
     """
-    partners = _partners(rho.family, rho.n, rho.k)
-    seq = rho.seq
-    below: list[int] = []
-    for j, b in enumerate(seq):
-        near = partners[b]
-        mask = 0
-        for i in range(j):
-            if seq[i] in near:
-                mask |= below[i] | 1 << i
-        below.append(mask)
+    coding = _coding(rho.family, rho.n, rho.k)
+    return _down(coding.partners, [coding.code[e] for e in rho.seq])
+
+
+def _down(partners: tuple, seq) -> list[int]:
+    """dependence_order of a sequence of codes; of its reverse, the up-sets.
+    Walks back from each element until the partners met and their down-sets
+    hold all its earlier partners."""
+    below = [0] * len(partners)
+    seen = 0
+    for j, c in enumerate(seq):
+        near = mask = partners[c] & seen
+        while near:
+            j -= 1
+            p = seq[j]
+            if near >> p & 1:
+                mask |= below[p]
+                near &= ~(below[p] | 1 << p)
+        below[c] = mask
+        seen |= 1 << c
     return below
+
+
+def _canonical(below: list[int]) -> list[int]:
+    """The least linear extension of a dependence order, as codes.
+
+    Repeatedly places the lowest unplaced code whose down-set is placed.
+    """
+    left = list(range(len(below)))
+    placed = 0
+    out = []
+    while left:
+        for c in left:
+            if not below[c] & ~placed:
+                break
+        left.remove(c)
+        placed |= 1 << c
+        out.append(c)
+    return out
 
 
 def canonical_form(rho: TotalOrder) -> OrderClass:
@@ -258,37 +295,30 @@ def canonical_form(rho: TotalOrder) -> OrderClass:
     Greedy least-available linearization of the dependence order, with
     availability resolved by the standard order on ground elements.
     """
-    seq = rho.seq
-    below = dependence_order(rho)
-    pos = {e: i for i, e in enumerate(seq)}
-    left = [pos[e] for e in _standard_order(rho.family, rho.n, rho.k)]
-    placed = 0
-    out = []
-    while left:
-        for t, j in enumerate(left):
-            if not below[j] & ~placed:
-                break
-        del left[t]
-        placed |= 1 << j
-        out.append(seq[j])
-    return OrderClass(TotalOrder(rho.family, rho.n, rho.k, tuple(out)))
+    ground = _coding(rho.family, rho.n, rho.k).ground
+    seq = tuple([ground[c] for c in _canonical(dependence_order(rho))])
+    return OrderClass(TotalOrder(rho.family, rho.n, rho.k, seq))
 
 
 def class_members(rho: TotalOrder) -> list[TotalOrder]:
-    """Every member of the commutation class by swap closure (oracles only)."""
-    partners = _partners(rho.family, rho.n, rho.k)
-    seen = {rho.seq}
-    queue = deque([rho.seq])
+    """Every member of the commutation class by swap closure (oracles only).
+
+    Sorted by code tuples, which sort like the members' element_key tuples.
+    """
+    coding = _coding(rho.family, rho.n, rho.k)
+    start = tuple(coding.code[e] for e in rho.seq)
+    seen = {start}
+    queue = deque([start])
     while queue:
         cur = queue.popleft()
         for i in range(len(cur) - 1):
-            if cur[i + 1] not in partners[cur[i]]:
+            if not coding.partners[cur[i]] >> cur[i + 1] & 1:
                 nxt = cur[:i] + (cur[i + 1], cur[i]) + cur[i + 2:]
                 if nxt not in seen:
                     seen.add(nxt)
                     queue.append(nxt)
-    return [TotalOrder(rho.family, rho.n, rho.k, s)
-            for s in sorted(seen, key=lambda s: tuple(element_key(e) for e in s))]
+    return [TotalOrder(rho.family, rho.n, rho.k, tuple(coding.ground[c] for c in s))
+            for s in sorted(seen)]
 
 
 def class_flip_candidates(r: OrderClass) -> frozenset:
@@ -300,49 +330,45 @@ def class_flip_candidates(r: OrderClass) -> frozenset:
     class is one ordering, so the components are tested one at a time.
     """
     rho = r.canon
-    return frozenset(_class_flips(rho, dependence_order(rho)))
+    coding = _coding(rho.family, rho.n, rho.k)
+    seq = [coding.code[e] for e in rho.seq]
+    flips = _class_flips(coding.labels, _down(coding.partners, seq),
+                         _down(coding.partners, seq[::-1]))
+    return frozenset(coding.labels[i][0] for i in flips)
 
 
-def _class_flips(rho: TotalOrder, below: list[int]) -> list:
-    """class_flip_candidates of rho's class given rho's dependence order.
+def _class_flips(labels: tuple, below: list[int], above: list[int]) -> list[int]:
+    """Indices into labels of class_flip_candidates, given the class's heap:
+    no component's united up-sets and down-sets may meet outside it."""
+    out = []
+    for i, (_K, comps) in enumerate(labels):
+        for codes, mask in comps:
+            up = down = 0
+            for c in codes:
+                up |= above[c]
+                down |= below[c]
+            if up & down & ~mask:
+                break
+        else:
+            out.append(i)
+    return out
 
-    Listed in label order, which is the element_key order.
+
+def _flip_in_class(seq, below: list[int], comps: tuple) -> list[int]:
+    """Flip a packet (on codes) in the member of seq's class holding it
+    consecutive.  Per component: what lies below it in the dependence order,
+    then the component reversed, then the rest, each part in the current order.
     """
-    index = {e: i for i, e in enumerate(rho.seq)}
-
-    def separated(chain) -> bool:
-        ps = [index[e] for e in chain]
-        lo, hi = min(ps), max(ps)
-        # below hi, after lo, outside the chain; some of it above lo?
-        rest = below[hi] & -(2 << lo)
-        for p in ps:
-            rest &= ~(1 << p)
-        while rest:
-            x = rest & -rest
-            if below[x.bit_length() - 1] >> lo & 1:
-                return True
-            rest ^= x
-        return False
-
-    return [K for K, packet in _packet_table(rho.family, rho.n, rho.k)
-            if not any(separated(c) for c in packet.components)]
-
-
-def _flip_in_class(rho: TotalOrder, below: list[int], packet: Packet) -> TotalOrder:
-    """Flip a packet in the member of rho's class that holds it consecutive.
-
-    Per component: what lies below it in the dependence order, then the
-    component reversed, then the rest, each part in the current order.
-    """
-    index = {e: i for i, e in enumerate(rho.seq)}
-    order = list(range(len(rho.seq)))
-    for chain in packet.components:
-        comp = {index[e] for e in chain}
-        low = below[max(comp)]
-        order = ([i for i in order if low >> i & 1 and i not in comp]
-                 + [i for i in reversed(order) if i in comp]
-                 + [i for i in order if not low >> i & 1 and i not in comp])
-    return TotalOrder(rho.family, rho.n, rho.k, tuple(rho.seq[i] for i in order))
+    order = list(seq)
+    for codes, mask in comps:
+        low = 0
+        for c in codes:
+            low |= below[c]
+        low &= ~mask
+        order = ([c for c in order if low >> c & 1]
+                 + [c for c in reversed(order) if mask >> c & 1]
+                 + [c for c in order if not (low | mask) >> c & 1])
+    return order
 
 
 # ---------------------------------------------------------------------------
@@ -392,28 +418,40 @@ def build_poset(family: str, n: int, k: int,
         max_nodes = int(os.environ.get("BRUHAT_MAX_NODES", DEFAULT_MAX_NODES))
 
     poset = BruhatPoset(family, n, k)
-    packets = _packets(family, n, k)
-    start = canonical_form(rho_min(family, n, k)).canon
+    coding = _coding(family, n, k)
+    ground, partners, labels = coding.ground, coding.partners, coding.labels
+    # on codes: a queued node carries its canonical codes, its heap (class
+    # invariant, so any member's) and its inversions as a mask over labels;
+    # rho_min, the standard order, is least in its class and inverts nothing
+    start, canon = rho_min(family, n, k), list(range(len(ground)))
     poset.min_key = start.seq
-    poset.nodes[start.seq] = PosetNode(start, inversion_set(start), 0)
-    queue = deque([start.seq])
+    poset.nodes[start.seq] = PosetNode(start, frozenset(), 0)
+    queue = deque([(start.seq, canon, _down(partners, canon),
+                    _down(partners, canon[::-1]), 0)])
     while queue:
-        key = queue.popleft()
+        key, seq, below, above, inv_bits = queue.popleft()
         node = poset.nodes[key]
-        below = dependence_order(node.canon)
-        for K in _class_flips(node.canon, below):
-            if K in node.inv:
+        for i in _class_flips(labels, below, above):
+            if inv_bits >> i & 1:
                 continue
-            flipped = canonical_form(
-                _flip_in_class(node.canon, below, packets[K])).canon
-            if flipped.seq not in poset.nodes:
+            K, comps = labels[i]
+            member = _flip_in_class(seq, below, comps)
+            flipped_below = _down(partners, member)
+            canon = _canonical(flipped_below)
+            dst = tuple([ground[c] for c in canon])
+            found = poset.nodes.get(dst)
+            if found is None:
                 if len(poset.nodes) >= max_nodes:
                     raise PosetOverflowError(
-                        f"poset exceeded {max_nodes} nodes (BRUHAT_MAX_NODES)")
-                poset.nodes[flipped.seq] = PosetNode(
-                    flipped, node.inv | {K}, node.rank + 1)
-                queue.append(flipped.seq)
-            poset.edges.append((key, flipped.seq, K))
+                        f"poset exceeded {max_nodes} nodes (BRUHAT_MAX_NODES) "
+                        f"at rank {node.rank + 1}")
+                poset.nodes[dst] = PosetNode(TotalOrder(family, n, k, dst),
+                                             node.inv | {K}, node.rank + 1)
+                queue.append((dst, canon, flipped_below, _down(partners, member[::-1]),
+                              inv_bits | 1 << i))
+            else:
+                dst = found.canon.seq
+            poset.edges.append((key, dst, K))
     return poset
 
 

@@ -31,6 +31,7 @@ from .core import (
 from .orders import (
     OrderClass,
     TotalOrder,
+    _coding,
     admissible_sequences,
     canonical_form,
     class_flip_candidates,
@@ -119,15 +120,15 @@ def blocks(rho: TotalOrder, x, S) -> bool:
     S = set(S)
     if x in S:
         raise ValueError("a blocking element must lie outside S")
-    index = {e: i for i, e in enumerate(rho.seq)}
-    return _blocks(dependence_order(rho), index, x, S)
+    code = _coding(rho.family, rho.n, rho.k).code
+    return _blocks(dependence_order(rho), code, x, S)
 
 
-def _blocks(below: list[int], index: dict, x, S) -> bool:
-    """blocks, given rho's dependence order and positions."""
-    i = index[x]
-    return (any(below[i] >> index[s] & 1 for s in S)
-            and any(below[index[s]] >> i & 1 for s in S))
+def _blocks(below: list[int], code: dict, x, S) -> bool:
+    """blocks, given rho's dependence order and the code map."""
+    i = code[x]
+    return (any(below[i] >> code[s] & 1 for s in S)
+            and any(below[code[s]] >> i & 1 for s in S))
 
 
 def blocks_oracle(rho: TotalOrder, x, S) -> bool:
@@ -145,9 +146,8 @@ def blocks_oracle(rho: TotalOrder, x, S) -> bool:
 def flip_candidate_by_blocking(rho: TotalOrder, K) -> bool:
     """Class flip candidacy decided by absence of blocking elements."""
     S = packet_B(K).elements
-    below = dependence_order(rho)
-    index = {e: i for i, e in enumerate(rho.seq)}
-    return not any(_blocks(below, index, x, S) for x in rho.seq if x not in S)
+    below, code = dependence_order(rho), _coding(rho.family, rho.n, rho.k).code
+    return not any(_blocks(below, code, x, S) for x in rho.seq if x not in S)
 
 
 def interval_escape_witness(rho: TotalOrder, S, x) -> TotalOrder:
@@ -161,25 +161,25 @@ def interval_escape_witness(rho: TotalOrder, S, x) -> TotalOrder:
     S = set(S)
     if x in S:
         raise ValueError("x must lie outside S")
-    below = dependence_order(rho)
-    index = {e: i for i, e in enumerate(rho.seq)}
-    if _blocks(below, index, x, S):
+    below, code = dependence_order(rho), _coding(rho.family, rho.n, rho.k).code
+    if _blocks(below, code, x, S):
         raise ValueError("x blocks S; no escape exists")
-    return _escape(rho, below, index, S, x)
+    return _escape(rho, below, code, S, x)
 
 
-def _escape(rho: TotalOrder, below: list[int], index: dict, S, x) -> TotalOrder:
-    """interval_escape_witness past its checks, given rho's dependence order."""
-    i = index[x]
-    ps = [index[s] for s in S]
-    if not min(ps) < i < max(ps):
+def _escape(rho: TotalOrder, below: list[int], code: dict, S, x) -> TotalOrder:
+    """interval_escape_witness past its checks (a stable sort of rho.seq)."""
+    pos = rho.positions
+    ps = [pos[s] for s in S]
+    if not min(ps) < pos[x] < max(ps):
         return rho
-    if any(below[i] >> p & 1 for p in ps):      # x and its up-set go last
-        last = [j == i or bool(below[j] >> i & 1) for j in range(len(below))]
-    else:                                       # x and its down-set go first
-        last = [j != i and not below[i] >> j & 1 for j in range(len(below))]
-    order = sorted(range(len(below)), key=last.__getitem__)
-    return TotalOrder(rho.family, rho.n, rho.k, tuple(rho.seq[j] for j in order))
+    i = code[x]
+    if any(below[i] >> code[s] & 1 for s in S):     # x and its up-set go last
+        last = lambda e: code[e] == i or below[code[e]] >> i & 1
+    else:                                           # x and its down-set go first
+        down = below[i] | 1 << i
+        last = lambda e: not down >> code[e] & 1
+    return TotalOrder(rho.family, rho.n, rho.k, tuple(sorted(rho.seq, key=last)))
 
 
 # ---------------------------------------------------------------------------
@@ -419,8 +419,8 @@ def classify_blocked_flip(rho: TotalOrder, K):
 
 def _match_pattern(rho: TotalOrder, below: list[int], K):
     """classify_blocked_flip past its precondition, given rho's dependence order."""
-    index = {e: i for i, e in enumerate(rho.seq)}
-    precedes = lambda a, b: below[index[b]] >> index[a] & 1
+    code = _coding(rho.family, rho.n, rho.k).code
+    precedes = lambda a, b: below[code[b]] >> code[a] & 1
     xs = [v for v in range(-rho.n, rho.n + 1) if v != 0]
     ids = [c for c in CASE_IDS
            if c.startswith("orbit" if K.kind == "orbit" else "star")]
@@ -447,6 +447,12 @@ def _report(check: str, params: dict, ok: bool, counterexample=None) -> dict:
     if counterexample is not None:
         rep["counterexample"] = counterexample
     return rep
+
+
+def _counted(check: str, n: int, fn) -> dict:
+    """Report of a check fn(n) -> (holds, instances); fails when it tests nothing."""
+    ok, instances = fn(n)
+    return _report(check, {"n": n, "instances": instances}, ok and instances > 0)
 
 
 def crossing_agreement(n: int, k: int) -> dict:
@@ -508,17 +514,16 @@ def escape_witness_agreement(n: int) -> dict:
     bad = None
     instances = 0
     for rho in enumerate_admissible("B", n, 2):
-        below = dependence_order(rho)
-        index = {e: i for i, e in enumerate(rho.seq)}
+        below, code = dependence_order(rho), _coding(rho.family, rho.n, rho.k).code
         canon = canonical_form(rho).canon
         for K in enumerate_B(n, 3):
             S = packet_B(K).elements
             interval = set(minimal_chain(rho, S))
             for x in rho.seq:
-                if x in S or _blocks(below, index, x, S):
+                if x in S or _blocks(below, code, x, S):
                     continue
                 instances += 1
-                w = _escape(rho, below, index, S, x)
+                w = _escape(rho, below, code, S, x)
                 inside = set(minimal_chain(w, S))
                 if (x in inside or not inside <= interval
                         or w is not rho and canonical_form(w).canon != canon):
@@ -632,16 +637,14 @@ def _suite_tasks(name: str, n: int):
                 weyl.check_root_inversions(nn)))
             tasks.append(lambda nn=nn: _report(
                 "chain-words-reduced", {"n": nn}, _chain_words_ok(nn)))
-            tasks.append(lambda nn=nn: _report(
-                "level1-group-bijection", {"n": nn},
-                weyl.level1_group_bijection_check(nn)))
-            tasks.append(lambda nn=nn: _report(
-                "flip-braid-correspondence", {"n": nn},
-                weyl.flip_braid_correspondence(nn)))
+            tasks.append(lambda nn=nn: _counted(
+                "level1-group-bijection", nn, weyl.level1_group_bijection_check))
+            tasks.append(lambda nn=nn: _counted(
+                "flip-braid-correspondence", nn, weyl.flip_braid_correspondence))
             if nn >= 3:     # B(2,2) has no commuting adjacent pair to swap
-                tasks.append(lambda nn=nn: _report(
-                    "swap-commutation-correspondence", {"n": nn},
-                    weyl.swap_commutation_correspondence(nn)))
+                tasks.append(lambda nn=nn: _counted(
+                    "swap-commutation-correspondence", nn,
+                    weyl.swap_commutation_correspondence))
     if name in ("appendix", "all"):
         for nn in range(2, n + 1):
             for k in (1, 2):

@@ -456,13 +456,12 @@ def reduced_words_brute(family: str, n: int) -> set[tuple[int, ...]]:
     return words
 
 
-def level1_group_bijection_check(n: int) -> bool:
-    """Admissible level-1 orderings map bijectively onto signed permutations."""
-    perms = set()
-    for rho in enumerate_admissible("B", n, 1):
-        perms.add(order_to_perm(rho).images)
+def level1_group_bijection_check(n: int) -> tuple[bool, int]:
+    """Admissible level-1 orderings biject onto signed permutations: (ok, orderings)."""
+    orderings = enumerate_admissible("B", n, 1)
+    perms = {order_to_perm(rho).images for rho in orderings}
     import math
-    return len(perms) == 2 ** n * math.factorial(n)
+    return len(perms) == len(orderings) == 2 ** n * math.factorial(n), len(orderings)
 
 
 def _generator_order(family: str, n: int, a: int, b: int) -> int:
@@ -480,54 +479,53 @@ def _chain_words(n: int) -> dict:
             for rho in enumerate_admissible("B", n, 2)}
 
 
-def flip_braid_correspondence(n: int) -> bool:
+def flip_braid_correspondence(n: int) -> tuple[bool, int]:
     """Level-2 flips act on chain words as braid moves of the right arity.
 
     Flipping an orbit element replaces an alternating block s t s by t s t
     (generators of order 3); flipping a star element replaces s t s t by
     t s t s (order 4).  Letters outside the flipped block are untouched.
+    Returns (ok, flips checked).
     """
     words = _chain_words(n)
+    flips = 0
     for rho in enumerate_admissible("B", n, 2):
         w1 = words[rho.seq]
         for K in flip_candidates(rho):
+            flips += 1
             w2 = words[packet_flip(rho, K).seq]
             diff = [t for t in range(len(w1)) if w1[t] != w2[t]]
             arity = 3 if braid_classify(K) == "m3" else 4
             if len(diff) != arity or diff != list(range(diff[0], diff[-1] + 1)):
-                return False
+                return False, flips
             lo = diff[0]
             a, b = w1[lo], w1[lo + 1]
-            if a == b:
-                return False
-            if list(w1[lo:lo + arity]) != [a, b] * (arity // 2) + [a] * (arity % 2):
-                return False
-            if list(w2[lo:lo + arity]) != [b, a] * (arity // 2) + [b] * (arity % 2):
-                return False
-            if _generator_order("B", n, a, b) != arity:
-                return False
-    return True
+            if (a == b or w1[lo:lo + arity] != ((a, b) * arity)[:arity]
+                    or w2[lo:lo + arity] != ((b, a) * arity)[:arity]
+                    or _generator_order("B", n, a, b) != arity):
+                return False, flips
+    return True, flips
 
 
-def swap_commutation_correspondence(n: int) -> bool:
-    """Order swaps of commuting labels exchange two commuting word letters."""
+def swap_commutation_correspondence(n: int) -> tuple[bool, int]:
+    """Swaps of commuting labels exchange commuting word letters: (ok, swaps)."""
     from .orders import commutes
     words = _chain_words(n)
+    swaps = 0
     for rho in enumerate_admissible("B", n, 2):
         w1 = words[rho.seq]
         for t in range(len(rho.seq) - 1):
             a, b = rho.seq[t], rho.seq[t + 1]
             if not commutes(a, b, "B", n, 2):
                 continue
+            swaps += 1
             swapped = rho.seq[:t] + (b, a) + rho.seq[t + 2:]
             w2 = words[swapped]
-            if [u for u in range(len(w1)) if w1[u] != w2[u]] != [t, t + 1]:
-                return False
-            if (w1[t], w1[t + 1]) != (w2[t + 1], w2[t]):
-                return False
-            if _generator_order("B", n, w1[t], w1[t + 1]) != 2:
-                return False
-    return True
+            if ([u for u in range(len(w1)) if w1[u] != w2[u]] != [t, t + 1]
+                    or (w1[t], w1[t + 1]) != (w2[t + 1], w2[t])
+                    or _generator_order("B", n, w1[t], w1[t + 1]) != 2):
+                return False, swaps
+    return True, swaps
 
 
 @lru_cache(maxsize=None)

@@ -1,5 +1,6 @@
 """Admissibility, inversion sets, flips, classes, and the flip posets."""
 
+import hashlib
 import itertools
 import json
 from math import factorial
@@ -290,6 +291,13 @@ class TestBuildPoset:
         with pytest.raises(PosetOverflowError):
             build_poset("B", 3, 1, max_nodes=10)
 
+    def test_node_budget_names_rank(self):
+        from bruhatb.orders import PosetOverflowError
+        # the BFS meets classes in rank order, and ranks 0-2 of B(4,2) hold
+        # 1 + 3 + 6 = 10 classes, so the 11th is at rank 3
+        with pytest.raises(PosetOverflowError, match=r"exceeded 10 nodes .* at rank 3$"):
+            build_poset("B", 4, 2, max_nodes=10)
+
 
 class TestExtremaAndChains:
     @pytest.mark.parametrize("family,n,k",
@@ -370,3 +378,19 @@ class TestExport:
     def test_dot_node_count(self):
         dot = poset_to_dot(build_poset("B", 2, 2))
         assert dot.count("[label=\"rank") == 2
+
+    # sha256 of poset_to_json, pinned from a build before the library moved
+    # to integer element codes; any change to node order, canonical forms,
+    # inversion sets, edge order or text shows up here
+    GOLDEN_JSON = {
+        ("B", 3, 2): "21afeb88edcca2398a72454070ef9e94fc3bc279b150aa8c9fa2f26fbcc10d5e",
+        ("B", 4, 1): "decc068a2f86e8b37cf8365f0cc2e3ff0f7a8eaac7b1f56d3514a20393767019",
+        ("A", 5, 2): "29cd4d47f53171599caf4c4f500dc36cd6a6b7ee175ef7002836fa16310eb389",
+        ("A", 6, 4): "3650a505c33fe215169ac9532043221300ca6eb5fc70ece1bcd0a018b08b09db",
+        ("B", 4, 2): "caed550af95043a382d4fb81abdd46969e59793c9c037c0245a8c124fde30fb4",
+    }
+
+    @pytest.mark.parametrize("family,n,k", list(GOLDEN_JSON))
+    def test_golden_json(self, family, n, k):
+        text = poset_to_json(build_poset(family, n, k))
+        assert hashlib.sha256(text.encode()).hexdigest() == self.GOLDEN_JSON[family, n, k]

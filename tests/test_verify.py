@@ -8,7 +8,9 @@ import pytest
 from bruhatb.core import enumerate_B, format_element, normalize_orbit, packet_B, star
 from bruhatb.orders import (
     OrderClass,
+    TotalOrder,
     build_poset,
+    canonical_form,
     class_flip_candidates,
     class_members,
     dependence_order,
@@ -39,19 +41,24 @@ from bruhatb.verify import (
     run_suite,
     standard_cases,
 )
+from bruhatb.weyl import swap_commutation_correspondence
 
 
-def _linear_extensions(seq, below) -> list[tuple]:
-    """Every ordering of seq that lists each position after its down-set."""
+def _linear_extensions(ground, below) -> list[tuple]:
+    """Every ordering of ground that lists each element after its down-set.
+
+    ground is the ground set in standard order, so below[c] is the mask of
+    the codes (indices into ground) below the element of code c.
+    """
     out = []
 
     def extend(prefix, placed):
-        if len(prefix) == len(seq):
-            out.append(tuple(seq[j] for j in prefix))
+        if len(prefix) == len(ground):
+            out.append(tuple(ground[c] for c in prefix))
             return
-        for j in range(len(seq)):
-            if not placed >> j & 1 and not below[j] & ~placed:
-                extend(prefix + [j], placed | 1 << j)
+        for c in range(len(ground)):
+            if not placed >> c & 1 and not below[c] & ~placed:
+                extend(prefix + [c], placed | 1 << c)
 
     extend([], 0)
     return out
@@ -77,6 +84,12 @@ def _rank3_cases() -> list:
 def _b32_admissible() -> tuple:
     """The admissible B(3,2) orderings, read as the maximal chains of B(3,1)."""
     return tuple(maximal_chains(build_poset("B", 3, 1)))
+
+
+@functools.cache
+def _classes_by_ordering(family, n, k) -> tuple:
+    """(rho, class_members(rho)) for every admissible ordering rho."""
+    return tuple((rho, class_members(rho)) for rho in enumerate_admissible(family, n, k))
 
 
 def _case_counts_reference(case) -> tuple:
@@ -190,10 +203,22 @@ class TestHeapAgainstOracle:
     @pytest.mark.parametrize("family,n,k", [("A", 4, 2), ("B", 3, 2)])
     def test_classes_are_linear_extensions(self, family, n, k):
         for rho in enumerate_admissible(family, n, k):
-            extensions = _linear_extensions(rho.seq, dependence_order(rho))
+            extensions = _linear_extensions(rho_min(family, n, k).seq,
+                                            dependence_order(rho))
             members = {m.seq for m in class_members(rho)}
             assert len(extensions) == len(members)
             assert set(extensions) == members
+
+    @pytest.mark.parametrize("family,n,k", [("A", 4, 2), ("A", 5, 2), ("B", 3, 2)])
+    def test_canonical_form_is_least_member(self, family, n, k):
+        for rho, members in _classes_by_ordering(family, n, k):
+            assert canonical_form(rho).canon == members[0]
+
+    @pytest.mark.parametrize("family,n,k", [("A", 4, 2), ("A", 5, 2), ("B", 3, 2)])
+    def test_dependence_order_is_class_invariant(self, family, n, k):
+        for rho, members in _classes_by_ordering(family, n, k):
+            below = dependence_order(rho)
+            assert all(dependence_order(m) == below for m in members)
 
     # packets with several components occur only at type B level 1
     @pytest.mark.parametrize("family,n,k", [
@@ -203,6 +228,14 @@ class TestHeapAgainstOracle:
         for node in build_poset(family, n, k).nodes.values():
             assert class_flip_candidates(OrderClass(node.canon)) == \
                 class_flip_candidates_oracle(node.canon), str(node.canon)
+
+    def test_class_flip_candidates_any_ordering(self):
+        # inadmissible orderings too, where a packet chain's ends need not be
+        # its lowest and highest elements in the dependence order
+        for perm in itertools.permutations(rho_min("A", 4, 2).seq):
+            rho = TotalOrder("A", 4, 2, perm)
+            assert class_flip_candidates(OrderClass(rho)) == \
+                class_flip_candidates_oracle(rho), str(rho)
 
     def test_blocks_every_case_rank3(self):
         cases = 0
@@ -372,3 +405,14 @@ class TestWeylSuite:
             assert ("flip-braid-correspondence", nn) in names
         assert ("swap-commutation-correspondence", 3) in names
         assert len(reports) == 9 and all(r["result"] for r in reports)
+        counted = [r for r in reports if "instances" in r["params"]]
+        assert len(counted) == 5 and all(r["params"]["instances"] > 0 for r in counted)
+        assert {r["params"]["instances"] for r in counted
+                if r["check"] == "level1-group-bijection"} == {8, 48}
+
+    def test_check_that_tests_nothing_fails(self):
+        from bruhatb.verify import _counted
+        rep = _counted("swap-commutation-correspondence", 2,
+                       swap_commutation_correspondence)
+        assert rep["params"] == {"n": 2, "instances": 0} and not rep["result"]
+        assert not _counted("flip-braid-correspondence", 2, lambda n: (False, 4))["result"]

@@ -10,6 +10,7 @@ from bruhatb.orders import (
     TotalOrder,
     build_poset,
     enumerate_admissible,
+    flip_candidates,
     inversion_set,
     maximal_chains,
     packet_flip,
@@ -164,7 +165,8 @@ class TestWeakOrder:
 
     @pytest.mark.parametrize("n", (2, 3))
     def test_group_bijection(self, n):
-        assert level1_group_bijection_check(n)
+        ok, orderings = level1_group_bijection_check(n)
+        assert ok and orderings == 2 ** n * factorial(n)
 
 
 class TestRootInversionCompatibility:
@@ -242,11 +244,17 @@ class TestBraid:
 
     @pytest.mark.parametrize("n", (2, 3))
     def test_flip_braid_correspondence(self, n):
-        assert flip_braid_correspondence(n)
+        ok, flips = flip_braid_correspondence(n)
+        assert ok and flips == sum(len(flip_candidates(rho))
+                                   for rho in enumerate_admissible("B", n, 2))
 
     @pytest.mark.parametrize("n", (2, 3))
     def test_swap_commutation_correspondence(self, n):
-        assert swap_commutation_correspondence(n)
+        ok, swaps = swap_commutation_correspondence(n)
+        if n == 2:      # B(2,2)'s two orderings have no commuting neighbours
+            assert swaps == 0
+        else:
+            assert ok and swaps > 0
 
 
 class TestReducedWordOracle:
