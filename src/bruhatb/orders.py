@@ -174,7 +174,9 @@ def flip_candidates(rho: TotalOrder) -> frozenset:
 def packet_flip(rho: TotalOrder, K) -> TotalOrder:
     """Reverse each comparable component of K's packet in place."""
     pos = rho.positions
-    packet = _packet_of(rho.family, rho.n, rho.k, K)
+    packet = _coding(rho.family, rho.n, rho.k).packets.get(K)
+    if packet is None:
+        raise ValueError(f"{format_element(K)} is not a level-{rho.k + 1} element")
     seq = list(rho.seq)
     for chain in packet.components:
         ps = sorted(pos[e] for e in chain)
@@ -182,13 +184,6 @@ def packet_flip(rho: TotalOrder, K) -> TotalOrder:
             raise FlipError(f"{format_element(K)} is not flippable here")
         seq[ps[0]:ps[-1] + 1] = reversed(seq[ps[0]:ps[-1] + 1])
     return TotalOrder(rho.family, rho.n, rho.k, tuple(seq))
-
-
-def _packet_of(family: str, n: int, k: int, K) -> Packet:
-    packet = _coding(family, n, k).packets.get(K)
-    if packet is None:
-        raise ValueError(f"{format_element(K)} is not a level-{k + 1} element")
-    return packet
 
 
 class _Coding(NamedTuple):
@@ -467,41 +462,47 @@ def check_extrema(p: BruhatPoset) -> ExtremaReport:
     full = p.full_inv
     mins = [k for k, nd in p.nodes.items() if not nd.inv]
     maxs = [k for k, nd in p.nodes.items() if nd.inv == full]
-    has_out = {k: False for k in p.nodes}
-    for s, _d, _K in p.edges:
-        has_out[s] = True
+    has_out = {s for s, _d, _K in p.edges}
     graded = all(
-        nd.rank == len(nd.inv) and (nd.inv == full or has_out[key])
+        nd.rank == len(nd.inv) and (nd.inv == full or key in has_out)
         for key, nd in p.nodes.items())
     return ExtremaReport(len(mins) == 1, len(maxs) == 1, graded)
 
 
 def maximal_chains(p: BruhatPoset) -> list[tuple]:
-    """Edge-label sequences of all minimum-to-maximum paths.
+    """Edge-label sequences of all minimum-to-maximum paths, in label order.
 
-    Depth first, successors in label order: one path of labels and an
-    explicit stack of successor iterators; a chain is copied out only when
-    the path reaches the top node.
+    They meet at the middle rank m = R // 2 of the top rank R.  From the top
+    down, each node of rank >= m lists its tails, (K,) + t over its successors
+    in label order; below m, a depth-first walk (one label path, a stack of
+    successor iterators) extends each path that reaches rank m by them.
     """
     rep = check_extrema(p)
     if not (rep.unique_min and rep.unique_max):
         raise ValueError("maximal chains need unique extrema")
     full = p.full_inv
     ids = {key: i for i, key in enumerate(p.nodes)}
+    rank = [nd.rank for nd in p.nodes.values()]
     top = next(ids[key] for key, nd in p.nodes.items() if nd.inv == full)
     succ: list[list] = [[] for _ in ids]
     for s, d, K in sorted(p.edges, key=lambda e: element_key(e[2])):
         succ[ids[s]].append((ids[d], K))
+    mid = rank[top] // 2
+    tails = {top: [()]}
+    for v in sorted((v for v in range(len(ids)) if mid <= rank[v] < rank[top]),
+                    key=rank.__getitem__, reverse=True):
+        tails[v] = [(K,) + t for d, K in succ[v] for t in tails[d]]
     start = ids[p.min_key]
-    if start == top:
-        return [()]
+    if rank[start] >= mid:      # top rank 0 or 1
+        return tails[start]
     chains = []
     path: list = []
     stack = [iter(succ[start])]
     while stack:
         for dst, K in stack[-1]:
-            if dst == top:
-                chains.append((*path, K))
+            if rank[dst] == mid:
+                head = (*path, K)
+                chains += [head + t for t in tails[dst]]
             else:
                 path.append(K)
                 stack.append(iter(succ[dst]))
@@ -593,7 +594,11 @@ def admissible_orderings_filter(family: str, n: int, k: int) -> list[TotalOrder]
 
 def chains_bijection_check(p: BruhatPoset) -> bool:
     """Chain labels are admissible level-(k+1) orders, one chain per order."""
-    chains = maximal_chains(p)
+    return _chains_biject(p, maximal_chains(p))
+
+
+def _chains_biject(p: BruhatPoset, chains: list[tuple]) -> bool:
+    """chains_bijection_check on the already listed maximal_chains(p)."""
     upper = _upper_elements(p.family, p.n, p.k)
     orders = set()
     for labels in chains:

@@ -589,7 +589,7 @@ def _run_task(task):
 
 def _suite_tasks(name: str, n: int):
     from . import weyl
-    from .orders import build_poset, check_extrema, chains_bijection_check, \
+    from .orders import _chains_biject, build_poset, check_extrema, \
         inv_injectivity_check, maximal_chains
 
     def poset_checks(family, nn, k, expect_nodes=None):
@@ -602,8 +602,9 @@ def _suite_tasks(name: str, n: int):
             if expect_nodes is not None:
                 ok = ok and len(p.nodes) == expect_nodes
                 counts["expected_nodes"] = expect_nodes
-            ok = ok and chains_bijection_check(p)
-            counts["chains"] = len(maximal_chains(p))
+            chains = maximal_chains(p)
+            ok = ok and _chains_biject(p, chains)
+            counts["chains"] = len(chains)
             return _report("flip-poset", {"family": family, "n": nn, "k": k,
                                           **counts}, ok)
         return run
@@ -658,8 +659,7 @@ def _suite_tasks(name: str, n: int):
 def _chain_words_ok(n: int) -> bool:
     from .orders import build_poset, maximal_chains
     from .weyl import chain_to_word, longest_b
-    p = build_poset("B", n, 1)
-    for labels in maximal_chains(p):
+    for labels in maximal_chains(build_poset("B", n, 1)):
         word = chain_to_word(labels, "B", n)
         if not word.is_reduced() or word.evaluate() != longest_b(n):
             return False

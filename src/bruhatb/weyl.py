@@ -19,13 +19,12 @@ from functools import lru_cache
 from .core import BElem, enumerate_B
 from .orders import (
     TotalOrder,
+    _coding,
     build_poset,
     enumerate_admissible,
     flip_candidates,
     inversion_set,
     packet_flip,
-    rho_max,
-    rho_min,
 )
 
 
@@ -189,7 +188,12 @@ def weyl_inversions(pi: SignedPermutation) -> frozenset[Root]:
 
 
 def weyl_length(pi: SignedPermutation) -> int:
-    return len(weyl_inversions(pi))
+    """len(weyl_inversions(pi)) on the window: f(e_i) = i is positive on the
+    positive roots, so pi makes e_i, e_i - e_j and e_i + e_j (j < i) negative
+    exactly when pi(i) < 0, pi(i) < pi(j) and pi(i) + pi(j) < 0."""
+    w = pi.images
+    return sum((v < 0) + sum((v < u) + (v + u < 0) for u in w[:i])
+               for i, v in enumerate(w))
 
 
 # type A counterparts over plain permutations (window tuples)
@@ -392,23 +396,34 @@ class ReducedWord:
 def chain_to_word(labels, family: str, n: int) -> ReducedWord:
     """Replay a maximal chain's flip labels into a reduced word.
 
-    Each flip of a level-1 ordering multiplies the corresponding permutation
-    on the left by one simple reflection, read off the slots the flip moved
-    (_flip_generator); the letters are collected in application order.
+    The replay runs on element codes (orders._coding) from rho_min.  A flip
+    reverses each component's run of slots in place and multiplies the
+    permutation on the left by the simple reflection of the last slot moved
+    (_flip_generator).  The letters are collected in application order.
     """
     expected = {"A": n * (n - 1) // 2, "B": n * n}[family]
     if len(labels) != expected:
         raise ChainError(f"chain has {len(labels)} labels, expected {expected}")
-    rho = rho_min(family, n, 1)
+    packets = dict(_coding(family, n, 1).labels)
+    least = list(range(2 * n if family == "B" else n))     # rho_min, as codes
+    seq, pos = least[:], least[:]
     letters = []
     for K in labels:
-        try:
-            flipped = packet_flip(rho, K)
-        except ValueError as exc:   # FlipError, or not a level-2 element
-            raise ChainError(f"label {K} is not flippable at its step") from exc
-        letters.append(_flip_generator(rho, flipped))
-        rho = flipped
-    if rho.seq != rho_max(family, n, 1).seq:
+        comps = packets.get(K)
+        if comps is None:
+            raise ChainError(f"label {K} is not a level-2 element")
+        last = 0
+        for codes, _mask in comps:
+            slots = [pos[c] for c in codes]
+            lo, hi = min(slots), max(slots)
+            if hi - lo != len(codes) - 1:
+                raise ChainError(f"label {K} is not flippable at its step")
+            seq[lo:hi + 1] = seq[lo:hi + 1][::-1]
+            for i in range(lo, hi + 1):
+                pos[seq[i]] = i
+            last = max(last, hi)
+        letters.append(last - n if family == "B" else last)
+    if seq[::-1] != least:
         raise ChainError("chain does not reach the longest element")
     return ReducedWord(family, n, tuple(letters))
 

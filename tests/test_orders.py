@@ -7,7 +7,7 @@ from math import factorial
 
 import pytest
 
-from bruhatb.core import enumerate_B, normalize_orbit, star
+from bruhatb.core import enumerate_B, format_element, normalize_orbit, star
 from bruhatb.orders import (
     FlipError,
     InadmissibleOrderError,
@@ -321,9 +321,12 @@ class TestExtremaAndChains:
     def test_two_chains_a31(self):
         assert len(maximal_chains(build_poset("A", 3, 1))) == 2
 
+    # the chains meet at rank R // 2 of the top rank R: A(3,3) and B(2,2)
+    # (R = 0, 1) have no walk below it; the rest have odd and even R up to 16
     @pytest.mark.parametrize("family,n,k",
-                             [("A", 4, 1), ("B", 3, 1), ("A", 5, 2),
-                              ("B", 3, 2), ("A", 6, 4)])
+                             [("A", 3, 3), ("B", 2, 2), ("A", 3, 1),
+                              ("A", 4, 1), ("B", 3, 1), ("A", 5, 2),
+                              ("B", 3, 2), ("A", 6, 4), ("B", 4, 1)])
     def test_chains_match_recursive_reference(self, family, n, k):
         p = build_poset(family, n, k)
         out_edges = {}
@@ -340,6 +343,26 @@ class TestExtremaAndChains:
                     for rest in paths(d)]
 
         assert maximal_chains(p) == paths(p.min_key)
+
+    # sha256 of the `bruhatb chains` body, one chain per line, pinned from
+    # the depth-first listing that preceded the middle-rank meet
+    GOLDEN_CHAINS = {
+        ("A", 6, 1): (292864, "f1da0dac215c68412827652af5ee7ede731c33b8a335d888efdb5e0ec3921a6d"),
+        ("B", 4, 1): (24024, "ee46a373c3df44cdc4545f41e2b9f30c61085cac1a2e78f89f7b5d9c8ec86a72"),
+        ("A", 5, 2): (112, "c0fd181bac4e7d10f392ca717acdf0acdc626795ea5d66c843f7cc91f2195919"),
+        ("A", 6, 4): (2, "c34ba0f37a96ed2b4e385a69fe416a8171eaa2eafbca9913fcb27ec7c5141292"),
+        ("B", 3, 2): (2, "40cfc9fff9d9e5ccb7ad7744664e09a9daedf4f53474adafd80e58b5a0672018"),
+        ("B", 3, 1): (42, "8211c79c387919e6c429212eed15ff9054369f40c5378ca1a5c69a56d99d2651"),
+    }
+
+    @pytest.mark.parametrize("family,n,k", list(GOLDEN_CHAINS))
+    def test_golden_chains(self, family, n, k):
+        p = build_poset(family, n, k)
+        chains = maximal_chains(p)
+        name = {K: format_element(K) for _s, _d, K in p.edges}
+        text = "\n".join(" ".join(map(name.__getitem__, c)) for c in chains)
+        assert (len(chains), hashlib.sha256(text.encode()).hexdigest()) == \
+            self.GOLDEN_CHAINS[family, n, k]
 
     @pytest.mark.parametrize("family,n,k",
                              [("B", 2, 1), ("B", 2, 2), ("B", 3, 2),

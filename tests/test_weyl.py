@@ -1,5 +1,6 @@
 """Permutation realizations, roots, weak orders, and chain words."""
 
+import hashlib
 from collections import deque
 from math import factorial
 
@@ -118,6 +119,13 @@ class TestRoots:
         assert weyl_inversions(SignedPermutation((-1, 2))) == \
             frozenset({Root("short", 1)})
 
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_length_counts_root_inversions(self, n):
+        perms = all_signed_permutations(n)
+        assert len(perms) == 2 ** n * factorial(n)
+        for pi in perms:
+            assert weyl_length(pi) == len(weyl_inversions(pi)), pi
+
 
 class TestWeakOrder:
     def test_rank1_two_elements(self):
@@ -225,10 +233,35 @@ class TestChainWords:
         with pytest.raises(ChainError):
             chain_to_word(chains[0][:2], "B", 2)
 
+    def test_non_level2_label_rejected(self):
+        chain = maximal_chains(build_poset("B", 2, 1))[0]
+        for bad in (-1, (1, 2)):     # a level-1 element; a type A pair
+            with pytest.raises(ChainError, match="not a level-2 element"):
+                chain_to_word((bad, *chain[1:]), "B", 2)
+            with pytest.raises(ChainError, match="not a level-2 element"):
+                chain_to_word((*chain[:-1], bad), "B", 2)
+
+    @pytest.mark.parametrize("family,n", [("B", 2), ("B", 3), ("A", 4)])
+    def test_repeated_label_rejected(self, family, n):
+        for chain in maximal_chains(build_poset(family, n, 1)):
+            for t in range(1, len(chain)):
+                bad = chain[:t] + (chain[t - 1],) + chain[t + 1:]
+                with pytest.raises(ChainError):
+                    chain_to_word(bad, family, n)
+
+    # sha256 of the words of all B_4 chains in maximal_chains order, one per
+    # line, pinned from the replay by packet_flip on TotalOrders
+    def test_golden_b4_words(self):
+        words = [chain_to_word(c, "B", 4).letters
+                 for c in maximal_chains(build_poset("B", 4, 1))]
+        text = "\n".join(" ".join(map(str, w)) for w in words)
+        assert (len(words), hashlib.sha256(text.encode()).hexdigest()) == (
+            24024, "306f45ea1ce0d80b7a66a48e174bf3f0e3e21654f17230640a7e3e13f58aab0a")
+
     def test_scrambled_chain_rejected(self):
         first, second, *rest = maximal_chains(build_poset("B", 2, 1))[0]
         bad = (second, first, *rest)
-        with pytest.raises(ChainError):
+        with pytest.raises(ChainError, match="not flippable at its step"):
             chain_to_word(bad, "B", 2)
 
 
