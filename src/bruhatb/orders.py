@@ -247,13 +247,19 @@ def dependence_order(rho: TotalOrder) -> list[int]:
     return _down(coding.partners, [coding.code[e] for e in rho.seq])
 
 
-def _down(partners: tuple, seq) -> list[int]:
+def _down(partners: tuple, seq, start: int = 0,
+          known: list[int] | None = None) -> list[int]:
     """dependence_order of a sequence of codes; of its reverse, the up-sets.
     Walks back from each element until the partners met and their down-sets
-    hold all its earlier partners."""
-    below = [0] * len(partners)
+    hold all its earlier partners.  The masks of a prefix depend only on that
+    prefix, so those of seq[:start] are copied from known, the masks of a
+    sequence that starts the same, and the walk goes on from slot start."""
+    below = list(known) if start else [0] * len(partners)
     seen = 0
-    for j, c in enumerate(seq):
+    for c in seq[:start]:
+        seen |= 1 << c
+    for j in range(start, len(seq)):
+        c = seq[j]
         near = mask = partners[c] & seen
         while near:
             j -= 1
@@ -320,8 +326,8 @@ def class_flip_candidates(r: OrderClass) -> frozenset:
     """Labels flippable in some member of the commutation class.
 
     K qualifies when no element lies strictly between two elements of one
-    component of K's packet in the dependence order (_flip_in_class builds
-    the member).  Several components occur only at type B level 1, where the
+    component of K's packet in the dependence order (_flip_span builds the
+    member).  Several components occur only at type B level 1, where the
     class is one ordering, so the components are tested one at a time.
     """
     rho = r.canon
@@ -332,11 +338,15 @@ def class_flip_candidates(r: OrderClass) -> frozenset:
     return frozenset(coding.labels[i][0] for i in flips)
 
 
-def _class_flips(labels: tuple, below: list[int], above: list[int]) -> list[int]:
+def _class_flips(labels: tuple, below: list[int], above: list[int],
+                 skip: int = 0) -> list[int]:
     """Indices into labels of class_flip_candidates, given the class's heap:
-    no component's united up-sets and down-sets may meet outside it."""
+    no component's united up-sets and down-sets may meet outside it.  Labels
+    whose bit is set in skip are not tested."""
     out = []
     for i, (_K, comps) in enumerate(labels):
+        if skip >> i & 1:
+            continue
         for codes, mask in comps:
             up = down = 0
             for c in codes:
@@ -349,21 +359,36 @@ def _class_flips(labels: tuple, below: list[int], above: list[int]) -> list[int]
     return out
 
 
-def _flip_in_class(seq, below: list[int], comps: tuple) -> list[int]:
+def _flip_span(seq: list[int], pos: list[int], below: list[int],
+               comps: tuple) -> tuple[list[int], int, int]:
     """Flip a packet (on codes) in the member of seq's class holding it
-    consecutive.  Per component: what lies below it in the dependence order,
-    then the component reversed, then the rest, each part in the current order.
+    consecutive; pos[c] is the slot of code c in seq.  Only each component's
+    span, its first to its last slot, moves: what lies below the component
+    in the dependence order, then the component reversed, then the rest,
+    each part in the current order.  Returns the member and the first and
+    last slots changed.
+
+    seq is admissible, so each component's ends sit at its span's ends and
+    the element in the last slot is above the rest of the component.  The
+    spans of one packet's components are disjoint: several components occur
+    only at type B level 1, where every class is one ordering.
     """
-    order = list(seq)
+    member = list(seq)
+    first, last = len(seq), 0
     for codes, mask in comps:
-        low = 0
-        for c in codes:
-            low |= below[c]
-        low &= ~mask
-        order = ([c for c in order if low >> c & 1]
-                 + [c for c in reversed(order) if mask >> c & 1]
-                 + [c for c in order if not (low | mask) >> c & 1])
-    return order
+        lo, hi = pos[codes[0]], pos[codes[-1]]
+        if lo > hi:
+            lo, hi = hi, lo
+        span = seq[lo:hi + 1]
+        if hi - lo < len(codes):    # the component is its span: nothing between
+            member[lo:hi + 1] = span[::-1]
+        else:
+            low = below[span[-1]] & ~mask
+            member[lo:hi + 1] = ([c for c in span if low >> c & 1]
+                                 + [c for c in reversed(span) if mask >> c & 1]
+                                 + [c for c in span if not (low | mask) >> c & 1])
+        first, last = min(first, lo), max(last, hi)
+    return member, first, last
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +423,10 @@ def build_poset(family: str, n: int, k: int,
     """BFS closure of packet flips starting from the minimal class.
 
     Nodes are keyed by canonical form; every edge applies one flip at a label
-    outside the inversion set, raising rank by one.
+    outside the inversion set, raising rank by one.  A class is the set of
+    linear extensions of its heap, so an edge finds its class by the flipped
+    member's below masks, recomputed from the first slot the flip moves; the
+    canonical form is computed once, when the class is new.
     """
     if family == "A":
         if not (1 <= k <= n):
@@ -415,37 +443,45 @@ def build_poset(family: str, n: int, k: int,
     poset = BruhatPoset(family, n, k)
     coding = _coding(family, n, k)
     ground, partners, labels = coding.ground, coding.partners, coding.labels
-    # on codes: a queued node carries its canonical codes, its heap (class
+    size = len(ground)
+    # on codes: a queued node carries a member of its class, its heap (class
     # invariant, so any member's) and its inversions as a mask over labels;
-    # rho_min, the standard order, is least in its class and inverts nothing
-    start, canon = rho_min(family, n, k), list(range(len(ground)))
+    # heaps maps each class's below masks to its key.  rho_min, the standard
+    # order, is least in its class and inverts nothing
+    start, seq = rho_min(family, n, k), list(range(size))
+    below = _down(partners, seq)
     poset.min_key = start.seq
     poset.nodes[start.seq] = PosetNode(start, frozenset(), 0)
-    queue = deque([(start.seq, canon, _down(partners, canon),
-                    _down(partners, canon[::-1]), 0)])
+    heaps = {tuple(below): start.seq}
+    queue = deque([(start.seq, seq, below, _down(partners, seq[::-1]), 0)])
     while queue:
         key, seq, below, above, inv_bits = queue.popleft()
         node = poset.nodes[key]
-        for i in _class_flips(labels, below, above):
-            if inv_bits >> i & 1:
-                continue
+        pos = [0] * size
+        for slot, c in enumerate(seq):
+            pos[c] = slot
+        for i in _class_flips(labels, below, above, inv_bits):
             K, comps = labels[i]
-            member = _flip_in_class(seq, below, comps)
-            flipped_below = _down(partners, member)
-            canon = _canonical(flipped_below)
-            dst = tuple([ground[c] for c in canon])
-            found = poset.nodes.get(dst)
-            if found is None:
+            member, first, last = _flip_span(seq, pos, below, comps)
+            flipped = _down(partners, member, first, below)
+            heap = tuple(flipped)
+            dst = heaps.get(heap)
+            if dst is None:
+                dst = tuple([ground[c] for c in _canonical(flipped)])
+                if dst in poset.nodes:
+                    raise RuntimeError(
+                        f"a new heap at rank {node.rank + 1} has the canonical "
+                        f"form of a known class")
                 if len(poset.nodes) >= max_nodes:
                     raise PosetOverflowError(
                         f"poset exceeded {max_nodes} nodes (BRUHAT_MAX_NODES) "
                         f"at rank {node.rank + 1}")
+                heaps[heap] = dst
                 poset.nodes[dst] = PosetNode(TotalOrder(family, n, k, dst),
                                              node.inv | {K}, node.rank + 1)
-                queue.append((dst, canon, flipped_below, _down(partners, member[::-1]),
+                queue.append((dst, member, flipped,
+                              _down(partners, member[::-1], size - 1 - last, above),
                               inv_bits | 1 << i))
-            else:
-                dst = found.canon.seq
             poset.edges.append((key, dst, K))
     return poset
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .core import BElem, enumerate_B
 from .orders import (
@@ -376,15 +376,31 @@ class ReducedWord:
     letters: tuple[int, ...]
 
     def evaluate(self):
-        table = group_table(self.family, self.n)
-        w = table.identity
-        for g in self.letters:
-            w = table.mult(g, w)
-        return w
+        return self._element
 
     def is_reduced(self) -> bool:
-        length = group_table(self.family, self.n).length(self.evaluate())
+        length = group_table(self.family, self.n).length(self._element)
         return length == len(self.letters)
+
+    @cached_property
+    def _element(self):
+        """The product, evaluated once on an integer window.
+
+        s_g w swaps the values g and g + 1 of w's window and their negatives
+        (g = 0 negates 1 in type B): on the inverse window w^-1 s_g that is
+        the swap of slots g and g + 1, or the negation of slot 1.
+        """
+        table = group_table(self.family, self.n)
+        inv = list(range(1, self.n + 1))
+        for g in self.letters:
+            if g not in table.reflections:
+                raise ValueError(f"generator index out of range: {g}")
+            if g:
+                inv[g - 1], inv[g] = inv[g], inv[g - 1]
+            else:
+                inv[0] = -inv[0]
+        w = SignedPermutation(tuple(inv)).inverse()
+        return w if self.family == "B" else w.images
 
     def as_applied(self) -> str:
         return " ".join(f"s{g}" for g in self.letters)

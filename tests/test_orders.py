@@ -22,6 +22,7 @@ from bruhatb.orders import (
     class_flip_candidates,
     class_members,
     commutes,
+    dependence_order,
     element_key,
     enumerate_admissible,
     flip_candidates,
@@ -38,6 +39,7 @@ from bruhatb.orders import (
     rho_max,
     rho_min,
 )
+from bruhatb.orders import _coding, _down, _flip_span
 from bruhatb.weyl import reduced_words_brute
 
 A_CASES = [("A", 2, 1), ("A", 3, 1), ("A", 3, 2)]
@@ -212,6 +214,82 @@ class TestCanonicalForm:
     def test_class_flip_candidates_lex_initial_packet_type_a(self):
         r = canonical_form(rho_min("A", 4, 2))
         assert (1, 2, 3) in class_flip_candidates(r)
+
+
+def _by_canon(family, n, k) -> dict:
+    """canonical_form key -> (class_members, class_flip_candidates), per class."""
+    out = {}
+    for rho in enumerate_admissible(family, n, k):
+        r = canonical_form(rho)
+        if r.canon.seq not in out:
+            out[r.canon.seq] = (class_members(rho), class_flip_candidates(r))
+    return out
+
+
+class TestHeapFastPaths:
+    """build_poset's heap lookup, resumed masks and span flips against the
+    canonical-form, full-walk and packet_flip oracles."""
+
+    @pytest.mark.parametrize("family,n,k", [("A", 5, 2), ("B", 3, 2)])
+    def test_heap_equal_iff_canonical_equal(self, family, n, k):
+        heap_to_canon, canon_to_heap = {}, {}
+        for rho in enumerate_admissible(family, n, k):
+            heap = tuple(dependence_order(rho))
+            canon = canonical_form(rho).canon.seq
+            assert heap_to_canon.setdefault(heap, canon) == canon
+            assert canon_to_heap.setdefault(canon, heap) == heap
+        assert len(heap_to_canon) > 1
+
+    @pytest.mark.parametrize("family,n,k", [("A", 5, 2), ("B", 3, 2)])
+    def test_resumed_down_matches_full_walk(self, family, n, k):
+        coding = _coding(family, n, k)
+        for rho in enumerate_admissible(family, n, k):
+            seq = [coding.code[e] for e in rho.seq]
+            full = _down(coding.partners, seq)
+            for start in range(len(seq) + 1):
+                # masks of a sequence with the same prefix and another suffix
+                known = _down(coding.partners, seq[:start] + seq[start:][::-1])
+                assert _down(coding.partners, seq, start, known) == full
+
+    @pytest.mark.parametrize("family,n,k", [("A", 5, 2), ("B", 3, 2)])
+    def test_span_flip_matches_packet_flip(self, family, n, k):
+        coding = _coding(family, n, k)
+        packets = dict(coding.labels)
+        classes = _by_canon(family, n, k)
+        spread = 0
+        for rho in enumerate_admissible(family, n, k):
+            members, flips = classes[canonical_form(rho).canon.seq]
+            seq = [coding.code[e] for e in rho.seq]
+            pos = [0] * len(seq)
+            for slot, c in enumerate(seq):
+                pos[c] = slot
+            below = _down(coding.partners, seq)
+            above = _down(coding.partners, seq[::-1])
+            for K in flips:
+                m = next(m for m in members if K in flip_candidates(m))
+                expected = dependence_order(packet_flip(m, K))
+                member, first, last = _flip_span(seq, pos, below, packets[K])
+                assert sorted(member) == sorted(seq)
+                assert member[:first] == seq[:first]
+                assert member[last + 1:] == seq[last + 1:]
+                assert _down(coding.partners, member) == expected
+                assert _down(coding.partners, member, first, below) == expected
+                assert (_down(coding.partners, member[::-1], len(seq) - 1 - last, above)
+                        == _down(coding.partners, member[::-1]))
+                spread += last - first + 1 > sum(len(c) for c, _m in packets[K])
+        assert spread > 0       # some flip moved elements between a component's ends
+
+    def test_build_stays_off_the_oracles(self, monkeypatch):
+        from bruhatb import orders
+        configs = [("B", 3, 2), ("A", 5, 2), ("B", 3, 1)]
+        expected = [poset_comparable(build_poset(*cfg)) for cfg in configs]
+
+        def oracle(*_args):
+            raise AssertionError("build_poset called an oracle")
+        for name in ("class_members", "canonical_form", "flip_candidates"):
+            monkeypatch.setattr(orders, name, oracle)
+        assert [poset_comparable(orders.build_poset(*cfg)) for cfg in configs] == expected
+        assert [len(p["nodes"]) for p in expected] == [14, 62, 48]
 
 
 class TestEnumerateAdmissible:

@@ -396,6 +396,29 @@ class TestClassification:
         assert nonmaximal_has_flip(3)["result"]
 
 
+class TestMsTypeASuite:
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_each_poset_built_and_listed_once(self, n, monkeypatch):
+        from bruhatb import orders
+        built, listed = [], []
+
+        def counting_build(*args, **kwargs):
+            built.append(args)
+            return build_poset(*args, **kwargs)
+
+        def counting_chains(p):
+            listed.append((p.family, p.n, p.k))
+            return maximal_chains(p)
+        monkeypatch.setattr(orders, "build_poset", counting_build)
+        monkeypatch.setattr(orders, "maximal_chains", counting_chains)
+        reports = run_suite("ms-typeA", n)
+        configs = [("A", nn, k) for nn in range(3, n + 1)
+                   for k in range(1, min(nn - 1, 3) + 1)] or [("A", n, 1)]
+        assert built == listed == configs
+        assert reports[-1]["check"] == "reduced-word-count"
+        assert all(r["result"] for r in reports)
+
+
 class TestWeylSuite:
     def test_certifies_word_claims(self):
         reports = run_suite("weyl", 3)

@@ -303,6 +303,39 @@ class TestReducedWordOracle:
     def test_group_sizes(self):
         assert len(all_signed_permutations(3)) == 2 ** 3 * factorial(3)
 
+    @pytest.mark.parametrize("family,n", [("B", 3), ("A", 4), ("B", 2)])
+    def test_evaluate_matches_group_replay(self, family, n):
+        table = group_table(family, n)
+
+        def replay(letters):
+            w = table.identity
+            for g in letters:
+                w = table.mult(g, w)
+            return w
+
+        chain_words = [chain_to_word(labels, family, n).letters
+                       for labels in maximal_chains(build_poset(family, n, 1))]
+        gens = tuple(table.reflections)
+        others = ([w + w[:1] for w in chain_words] + [w[1:] for w in chain_words]
+                  + [(g, g) for g in gens] + [gens * 4, ()])
+        reduced = 0
+        for letters in chain_words + others:
+            word = ReducedWord(family, n, letters)
+            w = replay(letters)
+            assert word.evaluate() == w
+            assert word.is_reduced() == (table.length(w) == len(letters))
+            reduced += word.is_reduced()
+        # the chain words, their proper suffixes and the empty word
+        assert reduced == 2 * len(chain_words) + 1
+
+    @pytest.mark.parametrize("family,g", [("B", 3), ("B", -1), ("A", 0), ("A", 3)])
+    def test_out_of_range_generator_rejected(self, family, g):
+        word = ReducedWord(family, 3, (1, g))
+        with pytest.raises(ValueError, match="generator index out of range"):
+            word.evaluate()
+        with pytest.raises(ValueError, match="generator index out of range"):
+            word.is_reduced()
+
 
 class TestSignedPermutation:
     def test_compose_inverse(self):
