@@ -18,7 +18,6 @@ from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 from .core import (
-    Packet,
     UnsupportedLevelError,
     _level_elements,
     enumerate_A,
@@ -60,32 +59,6 @@ def ground_set(family: str, n: int, k: int) -> list:
     raise ValueError(f"unknown family {family!r}")
 
 
-def _upper_elements(family: str, n: int, k: int) -> list:
-    """Level-(k+1) elements, the flip labels over level k."""
-    if family == "A":
-        if k + 1 > n:
-            return []
-        return enumerate_A(n, k + 1)
-    if k + 1 <= 3:
-        return enumerate_B(n, k + 1)
-    if k + 1 == 4:
-        return sorted(_level_elements(n, 4), key=lambda e: (e.kind, e.entries))
-    raise UnsupportedLevelError(f"no packets above level {k}")
-
-
-@lru_cache(maxsize=None)
-def _packet_table(family: str, n: int, k: int) -> tuple[tuple[object, Packet], ...]:
-    """(K, packet of K) for every level-(k+1) element K, in label order."""
-    out = []
-    for K in _upper_elements(family, n, k):
-        if family == "A":
-            chain = tuple(sorted(itertools.combinations(K, k)))
-            out.append((K, Packet(frozenset(chain), (chain,))))
-        else:
-            out.append((K, packet_B(K)))
-    return tuple(out)
-
-
 @dataclass(frozen=True)
 class TotalOrder:
     """A total ordering of a full ground set, stored as a sequence."""
@@ -119,26 +92,85 @@ def rho_max(family: str, n: int, k: int) -> TotalOrder:
     return rho_min(family, n, k).reverse()
 
 
-def _packet_orientations(rho: TotalOrder) -> dict:
-    """Map each level-(k+1) element to True when its packet is fully reversed.
+class _Coding(NamedTuple):
+    """The ground set numbered in standard order, and its packets on codes."""
+
+    ground: tuple       # code -> element
+    code: dict          # element -> its index in ground
+    partners: tuple     # code -> mask of its packet mates (non-commuting codes)
+    labels: tuple       # (K, components), each (chain of codes, mask), label order
+    label_code: dict    # K -> its index in labels
+
+    def code_of(self, e) -> int:
+        """The code of e; ValueError naming e when e is not in the ground set."""
+        if e not in self.code:
+            raise ValueError(f"{e!r} is not in the ground set")
+        return self.code[e]
+
+
+@lru_cache(maxsize=None)
+def _coding(family: str, n: int, k: int) -> _Coding:
+    """The one packet table.  The labels are the level-(k+1) elements in
+    standard order, or by kind and entries at level 4, which has none.  A
+    type A packet lists the k-subsets of K in lexicographic order."""
+    ground = tuple(ground_set(family, n, k))
+    if family == "A":
+        upper = enumerate_A(n, k + 1) if k < n else []
+    elif k < 3:
+        upper = enumerate_B(n, k + 1)
+    else:
+        upper = sorted(_level_elements(n, 4), key=lambda e: (e.kind, e.entries))
+    code = {e: c for c, e in enumerate(ground)}
+    partners = [0] * len(ground)
+    labels = []
+    for K in upper:
+        chains = ((tuple(itertools.combinations(K, k)),) if family == "A"
+                  else packet_B(K).components)
+        comps = []
+        for chain in chains:
+            codes = tuple(code[e] for e in chain)
+            mask = sum(1 << c for c in codes)
+            for c in codes:
+                partners[c] |= mask & ~(1 << c)
+            comps.append((codes, mask))
+        labels.append((K, tuple(comps)))
+    return _Coding(ground, code, tuple(partners), tuple(labels),
+                   {K: i for i, K in enumerate(upper)})
+
+
+def _placed(rho: TotalOrder) -> tuple[_Coding, list[int], list[int]]:
+    """rho on codes: its coding, its codes in slot order and the slot of each code."""
+    coding = _coding(rho.family, rho.n, rho.k)
+    seq = [coding.code[e] for e in rho.seq]
+    return coding, seq, _slots(seq)
+
+
+def _slots(seq: list[int]) -> list[int]:
+    """pos[c]: the slot of code c in seq, a permutation of the codes."""
+    pos = [0] * len(seq)
+    for slot, c in enumerate(seq):
+        pos[c] = slot
+    return pos
+
+
+def _packet_orientations(rho: TotalOrder) -> int:
+    """Mask over the labels of the packets rho fully reverses.
 
     Raises InadmissibleOrderError when some packet is neither in packet order
     nor fully reversed (components must agree on the orientation).
     """
-    pos = rho.positions
-    out = {}
-    for K, packet in _packet_table(rho.family, rho.n, rho.k):
-        orientation = None
-        for chain in packet.components:
-            for a, b in zip(chain, chain[1:]):
-                forward = pos[a] < pos[b]
-                if orientation is None:
-                    orientation = forward
-                elif orientation != forward:
+    coding, _seq, pos = _placed(rho)
+    rev = 0
+    for i, (K, comps) in enumerate(coding.labels):
+        first = comps[0][0]
+        back = pos[first[0]] > pos[first[1]]
+        for codes, _mask in comps:
+            for a, b in zip(codes, codes[1:]):
+                if (pos[a] > pos[b]) != back:
                     raise InadmissibleOrderError(
                         f"packet of {format_element(K)} is inconsistently ordered")
-        out[K] = not orientation
-    return out
+        rev |= back << i
+    return rev
 
 
 def is_admissible(rho: TotalOrder) -> bool:
@@ -152,67 +184,53 @@ def is_admissible(rho: TotalOrder) -> bool:
 
 def inversion_set(rho: TotalOrder) -> frozenset:
     """The level-(k+1) elements whose packet appears fully reversed."""
-    return frozenset(K for K, rev in _packet_orientations(rho).items() if rev)
+    rev = _packet_orientations(rho)
+    labels = _coding(rho.family, rho.n, rho.k).labels
+    return frozenset(K for i, (K, _comps) in enumerate(labels) if rev >> i & 1)
+
+
+def _runs(pos: list[int], comps: tuple) -> list[tuple[int, int]]:
+    """The first and last slot of each component, when each fills a run of
+    consecutive slots; otherwise no runs at all."""
+    runs = []
+    for codes, _mask in comps:
+        slots = [pos[c] for c in codes]
+        lo, hi = min(slots), max(slots)
+        if hi - lo != len(codes) - 1:
+            return []
+        runs.append((lo, hi))
+    return runs
+
+
+def _flip_runs(seq: list[int], pos: list[int], comps: tuple) -> int:
+    """Flip a packet on codes in place: reverse each component's run of
+    slots in seq, keeping pos[c] the slot of code c.  Returns the last slot
+    moved, or -1, changing nothing, when some component is not a run (_runs).
+    """
+    last = -1
+    for lo, hi in _runs(pos, comps):
+        seq[lo:hi + 1] = seq[lo:hi + 1][::-1]
+        for i in range(lo, hi + 1):
+            pos[seq[i]] = i
+        last = max(last, hi)
+    return last
 
 
 def flip_candidates(rho: TotalOrder) -> frozenset:
     """Elements whose packet components all occupy consecutive positions."""
-    pos = rho.positions
-    out = []
-    for K, packet in _packet_table(rho.family, rho.n, rho.k):
-        ok = True
-        for chain in packet.components:
-            ps = [pos[e] for e in chain]
-            if max(ps) - min(ps) != len(ps) - 1:
-                ok = False
-                break
-        if ok:
-            out.append(K)
-    return frozenset(out)
+    coding, _seq, pos = _placed(rho)
+    return frozenset(K for K, comps in coding.labels if _runs(pos, comps))
 
 
 def packet_flip(rho: TotalOrder, K) -> TotalOrder:
     """Reverse each comparable component of K's packet in place."""
-    pos = rho.positions
-    packet = _coding(rho.family, rho.n, rho.k).packets.get(K)
-    if packet is None:
+    coding, seq, pos = _placed(rho)
+    i = coding.label_code.get(K)
+    if i is None:
         raise ValueError(f"{format_element(K)} is not a level-{rho.k + 1} element")
-    seq = list(rho.seq)
-    for chain in packet.components:
-        ps = sorted(pos[e] for e in chain)
-        if ps[-1] - ps[0] != len(ps) - 1:
-            raise FlipError(f"{format_element(K)} is not flippable here")
-        seq[ps[0]:ps[-1] + 1] = reversed(seq[ps[0]:ps[-1] + 1])
-    return TotalOrder(rho.family, rho.n, rho.k, tuple(seq))
-
-
-class _Coding(NamedTuple):
-    """The ground set numbered in standard order, and its packets on codes."""
-
-    ground: tuple       # code -> element
-    code: dict          # element -> its index in ground
-    partners: tuple     # code -> mask of its packet mates (non-commuting codes)
-    labels: tuple       # (K, components), each (chain of codes, mask), label order
-    packets: dict       # K -> its packet (read-only)
-
-
-@lru_cache(maxsize=None)
-def _coding(family: str, n: int, k: int) -> _Coding:
-    ground = tuple(ground_set(family, n, k))
-    code = {e: c for c, e in enumerate(ground)}
-    partners = [0] * len(ground)
-    labels = []
-    for K, packet in _packet_table(family, n, k):
-        comps = []
-        for chain in packet.components:
-            codes = tuple(code[e] for e in chain)
-            mask = sum(1 << c for c in codes)
-            for c in codes:
-                partners[c] |= mask & ~(1 << c)
-            comps.append((codes, mask))
-        labels.append((K, tuple(comps)))
-    return _Coding(ground, code, tuple(partners), tuple(labels),
-                   dict(_packet_table(family, n, k)))
+    if _flip_runs(seq, pos, coding.labels[i][1]) < 0:
+        raise FlipError(f"{format_element(K)} is not flippable here")
+    return TotalOrder(rho.family, rho.n, rho.k, tuple([coding.ground[c] for c in seq]))
 
 
 def commutes(a, b, family: str, n: int, k: int) -> bool:
@@ -220,7 +238,7 @@ def commutes(a, b, family: str, n: int, k: int) -> bool:
     if a == b:
         raise ValueError("commutation needs two distinct elements")
     coding = _coding(family, n, k)
-    return not coding.partners[coding.code[a]] >> coding.code[b] & 1
+    return not coding.partners[coding.code_of(a)] >> coding.code_of(b) & 1
 
 
 # ---------------------------------------------------------------------------
@@ -330,9 +348,7 @@ def class_flip_candidates(r: OrderClass) -> frozenset:
     member).  Several components occur only at type B level 1, where the
     class is one ordering, so the components are tested one at a time.
     """
-    rho = r.canon
-    coding = _coding(rho.family, rho.n, rho.k)
-    seq = [coding.code[e] for e in rho.seq]
+    coding, seq, _pos = _placed(r.canon)
     flips = _class_flips(coding.labels, _down(coding.partners, seq),
                          _down(coding.partners, seq[::-1]))
     return frozenset(coding.labels[i][0] for i in flips)
@@ -415,7 +431,7 @@ class BruhatPoset:
 
     @property
     def full_inv(self) -> frozenset:
-        return frozenset(K for K, _ in _packet_table(self.family, self.n, self.k))
+        return frozenset(K for K, _ in _coding(self.family, self.n, self.k).labels)
 
 
 def build_poset(family: str, n: int, k: int,
@@ -457,9 +473,7 @@ def build_poset(family: str, n: int, k: int,
     while queue:
         key, seq, below, above, inv_bits = queue.popleft()
         node = poset.nodes[key]
-        pos = [0] * size
-        for slot, c in enumerate(seq):
-            pos[c] = slot
+        pos = _slots(seq)
         for i in _class_flips(labels, below, above, inv_bits):
             K, comps = labels[i]
             member, first, last = _flip_span(seq, pos, below, comps)
@@ -552,9 +566,10 @@ def maximal_chains(p: BruhatPoset) -> list[tuple]:
 
 def enumerate_admissible(family: str, n: int, k: int) -> list[TotalOrder]:
     """All admissible orderings of the level-k ground set (admissible_sequences)."""
-    packets = [packet.components for _K, packet in _packet_table(family, n, k)]
-    return [TotalOrder(family, n, k, seq)
-            for seq in admissible_sequences(ground_set(family, n, k), packets)]
+    coding = _coding(family, n, k)
+    packets = [tuple(codes for codes, _mask in comps) for _K, comps in coding.labels]
+    return [TotalOrder(family, n, k, tuple([coding.ground[c] for c in seq]))
+            for seq in admissible_sequences(range(len(coding.ground)), packets)]
 
 
 def admissible_sequences(ground, packets) -> list[tuple]:
@@ -634,20 +649,20 @@ def chains_bijection_check(p: BruhatPoset) -> bool:
 
 
 def _chains_biject(p: BruhatPoset, chains: list[tuple]) -> bool:
-    """chains_bijection_check on the already listed maximal_chains(p)."""
-    upper = _upper_elements(p.family, p.n, p.k)
-    orders = set()
-    for labels in chains:
-        if sorted(labels, key=element_key) != sorted(upper, key=element_key):
-            return False
-        cand = TotalOrder(p.family, p.n, p.k + 1, labels)
-        if not is_admissible(cand):
-            return False
-        orders.add(labels)
-    if len(orders) != len(chains):
-        return False
-    admissible = {t.seq for t in enumerate_admissible(p.family, p.n, p.k + 1)}
-    return orders == admissible
+    """chains_bijection_check on the already listed maximal_chains(p).
+
+    A chain is read as its label indices.  The labels of _coding(family, n,
+    k) are listed in the standard order of level k + 1, so these are the
+    codes of a level-(k+1) sequence, and the chains must be, once each, the
+    orderings that admissible_sequences lists from the level-(k+1) packets
+    (in type A at k = n, only the empty ordering of the empty level n + 1).
+    """
+    coding = _coding(p.family, p.n, p.k)
+    upper = _coding(p.family, p.n, p.k + 1).labels if coding.labels else ()
+    packets = [tuple(codes for codes, _mask in comps) for _K, comps in upper]
+    orders = {tuple([coding.label_code.get(K, -1) for K in chain]) for chain in chains}
+    return len(orders) == len(chains) and orders == set(
+        admissible_sequences(range(len(coding.labels)), packets))
 
 
 def inv_injectivity_check(p: BruhatPoset) -> bool:

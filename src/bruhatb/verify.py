@@ -36,7 +36,6 @@ from .orders import (
     canonical_form,
     class_flip_candidates,
     class_members,
-    commutes,
     dependence_order,
     enumerate_admissible,
     flip_candidates,
@@ -61,32 +60,28 @@ def minimal_chain(rho: TotalOrder, S) -> tuple:
     return rho.seq[ps[0]:ps[-1] + 1]
 
 
-def crosses_in_seq(seq, a, b, commute) -> bool:
-    """Single-scan crossing test on an arbitrary sequence.
+def crosses_in_seq(seq, a, b, partners) -> bool:
+    """Single-scan crossing test on an arbitrary sequence of codes.
 
-    Orient so a precedes b, then grow a list of elements pinned to a: each
-    element between them joins when it fails to commute with something
-    already pinned.  a and b can cross exactly when b commutes with the whole
-    pinned list.
+    Walk from a towards b, growing a mask of the codes pinned to a: each code
+    between them joins when it is a packet mate (partners) of a pinned code.
+    a and b can cross exactly when b has no packet mate in the pinned mask.
     """
-    pos = {e: i for i, e in enumerate(seq)}
-    ia, ib = pos[a], pos[b]
-    if ib < ia:
-        seq = tuple(reversed(seq))
-        ia, ib = len(seq) - 1 - ia, len(seq) - 1 - ib
-    right = [a]
-    for q in seq[ia + 1:ib]:
-        if not all(commute(q, r) for r in right):
-            right.append(q)
-    return all(commute(b, r) for r in right)
+    ia, ib = seq.index(a), seq.index(b)
+    pinned = 1 << a
+    for q in seq[ia + 1:ib] if ia < ib else seq[ib + 1:ia][::-1]:
+        if partners[q] & pinned:
+            pinned |= 1 << q
+    return not partners[b] & pinned
 
 
 def crosses(rho: TotalOrder, a, b) -> bool:
     """Whether some member of rho's commutation class reverses a and b."""
     if a == b:
         raise ValueError("crossing needs two distinct elements")
-    fam, n, k = rho.family, rho.n, rho.k
-    return crosses_in_seq(rho.seq, a, b, lambda u, v: commutes(u, v, fam, n, k))
+    coding = _coding(rho.family, rho.n, rho.k)
+    return crosses_in_seq([coding.code[e] for e in rho.seq], coding.code_of(a),
+                          coding.code_of(b), coding.partners)
 
 
 def crosses_oracle(rho: TotalOrder, a, b) -> bool:
@@ -366,7 +361,7 @@ def case_report(case: CaseSpec) -> CaseReport:
         closed.add(hosts[0])
 
     open_chains = [chains[S] for S in members if S not in closed]
-    commute = lambda u, v: commutes(u, v, "B", case.n, 2)
+    coding = _coding("B", case.n, 2)
     K_chain = chains[case.K]
     report = CaseReport(case, True, orientations=2 ** len(open_chains))
     realised = set()
@@ -377,7 +372,7 @@ def case_report(case: CaseSpec) -> CaseReport:
             continue
         report.extensions += 1
         realised.add(tuple(pos[c[0]] < pos[c[1]] for c in open_chains))
-        if not _extension_has_witness(ext, members, chains, K_chain, commute):
+        if not _extension_has_witness(ext, members, chains, K_chain, coding):
             report.ok = False
             report.failure = ext
             break
@@ -385,8 +380,10 @@ def case_report(case: CaseSpec) -> CaseReport:
     return report
 
 
-def _extension_has_witness(ext, members, chains, K_chain, commute) -> bool:
+def _extension_has_witness(ext, members, chains, K_chain, coding) -> bool:
     pos = {e: i for i, e in enumerate(ext)}
+    seq, code = [coding.code[e] for e in ext], coding.code
+    crossed = lambda u, v: crosses_in_seq(seq, code[u], code[v], coding.partners)
     k_ps = [pos[e] for e in K_chain]
     minK = ext[min(k_ps)]
     maxK = ext[max(k_ps)]
@@ -396,10 +393,9 @@ def _extension_has_witness(ext, members, chains, K_chain, commute) -> bool:
         if ps != sorted(ps):
             continue  # not in standard order here
         minP, maxP = chain[0], chain[-1]
-        if pos[minP] > pos[minK] and not crosses_in_seq(ext, minK, minP, commute):
+        if pos[minP] > pos[minK] and not crossed(minK, minP):
             return True
-        if (minP == minK and pos[maxP] < pos[maxK]
-                and not crosses_in_seq(ext, maxP, maxK, commute)):
+        if minP == minK and pos[maxP] < pos[maxK] and not crossed(maxP, maxK):
             return True
     return False
 

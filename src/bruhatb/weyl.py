@@ -20,6 +20,8 @@ from .core import BElem, enumerate_B
 from .orders import (
     TotalOrder,
     _coding,
+    _flip_runs,
+    _placed,
     build_poset,
     enumerate_admissible,
     flip_candidates,
@@ -337,7 +339,8 @@ def iso_check(n: int) -> bool:
     """Level-1 type B flip poset matches the weak order edge-by-edge.
 
     Classes map bijectively onto signed permutations and every flip edge is a
-    left multiplication by a simple reflection, with matching cover sets.
+    left multiplication by a simple reflection, with matching cover sets.  An
+    edge's generator is the last slot its flip moves, less n (chain_to_word).
     """
     poset = build_poset("B", n, 1)
     weak = weak_order_poset(n)
@@ -351,8 +354,9 @@ def iso_check(n: int) -> bool:
         return False
     table = group_table("B", n)
     mapped = set()
-    for src, dst, _K in poset.edges:
-        gen = _flip_generator(poset.nodes[src].canon, poset.nodes[dst].canon)
+    for src, dst, K in poset.edges:
+        coding, seq, pos = _placed(poset.nodes[src].canon)
+        gen = _flip_runs(seq, pos, coding.labels[coding.label_code[K]][1]) - n
         if gen not in table.reflections or table.mult(gen, window[src]) != window[dst]:
             return False
         mapped.add((window[src].images, window[dst].images, gen))
@@ -413,47 +417,29 @@ def chain_to_word(labels, family: str, n: int) -> ReducedWord:
     """Replay a maximal chain's flip labels into a reduced word.
 
     The replay runs on element codes (orders._coding) from rho_min.  A flip
-    reverses each component's run of slots in place and multiplies the
-    permutation on the left by the simple reflection of the last slot moved
-    (_flip_generator).  The letters are collected in application order.
+    reverses each component's run of slots in place (orders._flip_runs) and
+    multiplies the permutation on the left by the simple reflection of the
+    last slot moved: slot g in type A, slot n + g in type B, whose slots run
+    -n..-1, 1..n.  The letters are collected in application order.
     """
     expected = {"A": n * (n - 1) // 2, "B": n * n}[family]
     if len(labels) != expected:
         raise ChainError(f"chain has {len(labels)} labels, expected {expected}")
-    packets = dict(_coding(family, n, 1).labels)
+    coding = _coding(family, n, 1)
     least = list(range(2 * n if family == "B" else n))     # rho_min, as codes
     seq, pos = least[:], least[:]
     letters = []
     for K in labels:
-        comps = packets.get(K)
-        if comps is None:
+        i = coding.label_code.get(K)
+        if i is None:
             raise ChainError(f"label {K} is not a level-2 element")
-        last = 0
-        for codes, _mask in comps:
-            slots = [pos[c] for c in codes]
-            lo, hi = min(slots), max(slots)
-            if hi - lo != len(codes) - 1:
-                raise ChainError(f"label {K} is not flippable at its step")
-            seq[lo:hi + 1] = seq[lo:hi + 1][::-1]
-            for i in range(lo, hi + 1):
-                pos[seq[i]] = i
-            last = max(last, hi)
+        last = _flip_runs(seq, pos, coding.labels[i][1])
+        if last < 0:
+            raise ChainError(f"label {K} is not flippable at its step")
         letters.append(last - n if family == "B" else last)
     if seq[::-1] != least:
         raise ChainError("chain does not reach the longest element")
     return ReducedWord(family, n, tuple(letters))
-
-
-def _flip_generator(before: TotalOrder, after: TotalOrder) -> int:
-    """The g with s_g order_to_perm(before) = order_to_perm(after) for a flip.
-
-    A level-1 flip swaps the slots labelled g and g + 1 (and their negatives
-    in type B, where g = 0 swaps -1 and 1).  The last slot it moves is
-    therefore index g in type A and index n + g in type B, whose slots run
-    -n..-1, 1..n.
-    """
-    last = max(i for i, (a, b) in enumerate(zip(before.seq, after.seq)) if a != b)
-    return last - before.n if before.family == "B" else last
 
 
 def braid_classify(K) -> str:

@@ -7,7 +7,15 @@ from math import factorial
 
 import pytest
 
-from bruhatb.core import enumerate_B, format_element, normalize_orbit, star
+from bruhatb.core import (
+    enumerate_A,
+    enumerate_B,
+    format_element,
+    normalize_orbit,
+    packet_A,
+    packet_B,
+    star,
+)
 from bruhatb.orders import (
     FlipError,
     InadmissibleOrderError,
@@ -50,6 +58,79 @@ def atuple(*vals):
     return tuple((v,) for v in vals)
 
 
+# An element-level reference for the packet walks, built from core.packet_A
+# and core.packet_B and from positions, sharing nothing with orders._coding.
+
+def ref_packets(family, n, k) -> dict:
+    """Each level-(k+1) element K -> the component chains of its packet."""
+    if family == "A":
+        upper = enumerate_A(n, k + 1) if k < n else []
+        return {K: (tuple(sorted(packet_A(K))),) for K in upper}
+    return {K: packet_B(K).components for K in enumerate_B(n, k + 1)}
+
+
+def ref_reversed(rho, chains):
+    """True when every chain runs backwards in rho, False when every chain
+    runs forwards, None when the packet is inconsistently ordered."""
+    pos = {e: i for i, e in enumerate(rho.seq)}
+    ways = {pos[a] > pos[b] for chain in chains for a, b in zip(chain, chain[1:])}
+    return ways.pop() if len(ways) == 1 else None
+
+
+def ref_flippable(rho, chains) -> bool:
+    """Whether the slots of each chain spread over exactly len(chain) slots."""
+    pos = {e: i for i, e in enumerate(rho.seq)}
+    return all(max(pos[e] for e in c) - min(pos[e] for e in c) == len(c) - 1
+               for c in chains)
+
+
+def ref_flip(rho, chains):
+    """rho with each chain's slots reversed in place, or None when not flippable."""
+    if not ref_flippable(rho, chains):
+        return None
+    pos = {e: i for i, e in enumerate(rho.seq)}
+    seq = list(rho.seq)
+    for chain in chains:
+        slots = sorted(pos[e] for e in chain)
+        for slot, e in zip(slots, sorted(chain, key=pos.get, reverse=True)):
+            seq[slot] = e
+    return TotalOrder(rho.family, rho.n, rho.k, tuple(seq))
+
+
+@pytest.mark.parametrize("family,n,k",
+                         [("A", 3, 1), ("A", 4, 1), ("B", 2, 1), ("B", 2, 2),
+                          ("B", 3, 1)])
+def test_walks_match_element_reference(family, n, k):
+    # every permutation, admissible or not: the walks answer as the reference
+    packets = ref_packets(family, n, k)
+    seen = {"admissible": 0, "inadmissible": 0, "flips": 0, "refused": 0}
+    for perm in itertools.permutations(rho_min(family, n, k).seq):
+        rho = TotalOrder(family, n, k, perm)
+        ways = {K: ref_reversed(rho, chains) for K, chains in packets.items()}
+        admissible = None not in ways.values()
+        seen["admissible" if admissible else "inadmissible"] += 1
+        assert is_admissible(rho) == admissible
+        if admissible:
+            assert inversion_set(rho) == {K for K, back in ways.items() if back}
+        else:
+            with pytest.raises(InadmissibleOrderError):
+                inversion_set(rho)
+        assert flip_candidates(rho) == {K for K, chains in packets.items()
+                                        if ref_flippable(rho, chains)}
+        for K, chains in packets.items():
+            expected = ref_flip(rho, chains)
+            if expected is None:
+                seen["refused"] += 1
+                with pytest.raises(FlipError):
+                    packet_flip(rho, K)
+            else:
+                seen["flips"] += 1
+                assert packet_flip(rho, K) == expected
+    assert seen["admissible"] and seen["flips"]
+    assert seen["inadmissible"] or family == "A"    # type A level 1 is vacuous
+    assert seen["refused"] or (family, n, k) == ("B", 2, 2)     # one packet: all
+
+
 class TestAdmissibility:
     def test_rho_min_and_max_admissible_everywhere(self):
         for family, n, k in A_CASES + B_CASES:
@@ -74,9 +155,8 @@ class TestInversionSet:
             assert inversion_set(rho_min(family, n, k)) == frozenset()
 
     def test_rho_max_full(self):
-        from bruhatb.orders import _packet_table
         for family, n, k in A_CASES + B_CASES:
-            full = frozenset(K for K, _ in _packet_table(family, n, k))
+            full = frozenset(ref_packets(family, n, k))
             assert inversion_set(rho_max(family, n, k)) == full
 
     def test_single_reversed_packet(self):
@@ -86,12 +166,11 @@ class TestInversionSet:
     def test_packet_chains_follow_inversion_set(self):
         # each packet chain is monotone in rho: increasing exactly when its
         # label lies outside the inversion set
-        from bruhatb.orders import _packet_table
         for rho in enumerate_admissible("B", 2, 1) + enumerate_admissible("B", 2, 2):
             inv = inversion_set(rho)
             pos = rho.positions
-            for K, packet in _packet_table(rho.family, rho.n, rho.k):
-                for chain in packet.components:
+            for K, chains in ref_packets(rho.family, rho.n, rho.k).items():
+                for chain in chains:
                     ps = [pos[e] for e in chain]
                     expected = sorted(ps) if K not in inv else sorted(ps, reverse=True)
                     assert ps == expected, (str(rho), K)
@@ -169,6 +248,12 @@ class TestCommutes:
     def test_same_element_rejected(self):
         with pytest.raises(ValueError):
             commutes((1, 2), (1, 2), "A", 3, 2)
+
+    def test_element_outside_ground_set_rejected(self):
+        outside, inside = normalize_orbit((-3, 1)), star((1,))
+        for a, b in [(outside, inside), (inside, outside)]:
+            with pytest.raises(ValueError, match=r"\[-3,1\] is not in the ground set"):
+                commutes(a, b, "B", 2, 2)
 
 
 class TestCanonicalForm:
@@ -255,6 +340,7 @@ class TestHeapFastPaths:
     def test_span_flip_matches_packet_flip(self, family, n, k):
         coding = _coding(family, n, k)
         packets = dict(coding.labels)
+        chains = ref_packets(family, n, k)
         classes = _by_canon(family, n, k)
         spread = 0
         for rho in enumerate_admissible(family, n, k):
@@ -266,8 +352,8 @@ class TestHeapFastPaths:
             below = _down(coding.partners, seq)
             above = _down(coding.partners, seq[::-1])
             for K in flips:
-                m = next(m for m in members if K in flip_candidates(m))
-                expected = dependence_order(packet_flip(m, K))
+                flipped = next(filter(None, (ref_flip(m, chains[K]) for m in members)))
+                expected = dependence_order(flipped)
                 member, first, last = _flip_span(seq, pos, below, packets[K])
                 assert sorted(member) == sorted(seq)
                 assert member[:first] == seq[:first]
@@ -290,6 +376,48 @@ class TestHeapFastPaths:
             monkeypatch.setattr(orders, name, oracle)
         assert [poset_comparable(orders.build_poset(*cfg)) for cfg in configs] == expected
         assert [len(p["nodes"]) for p in expected] == [14, 62, 48]
+
+    def test_walks_stay_off_positions(self, monkeypatch):
+        # the packet walks, the crossing scan, the chain checks and the chain
+        # words run on codes; TotalOrder.positions serves only the oracles
+        from bruhatb.verify import crosses, crosses_oracle
+        from bruhatb.weyl import chain_to_word, iso_check
+
+        def run():
+            out = []
+            for cfg in [("B", 3, 1), ("B", 3, 2)]:
+                p = build_poset(*cfg)
+                seqs = [rho.seq for rho in enumerate_admissible(*cfg)]
+                seqs.append(seqs[0][1::-1] + seqs[0][2:])   # inadmissible
+                for seq in seqs:
+                    rho = TotalOrder(*cfg, seq)
+                    try:
+                        inv = inversion_set(rho)
+                    except InadmissibleOrderError:
+                        inv = None
+                    cands = flip_candidates(rho)
+                    out.append((is_admissible(rho), inv, cands,
+                                [packet_flip(rho, K).seq for K in sorted(cands, key=str)],
+                                [crosses(rho, a, b)
+                                 for a, b in itertools.combinations(seq, 2)]))
+                out.append(chains_bijection_check(p))
+                if cfg[2] == 1:
+                    out.append([chain_to_word(c, "B", 3).letters
+                                for c in maximal_chains(p)])
+            out.append(iso_check(3))
+            return out
+
+        expected = run()
+        assert expected[-1] is True
+        assert [r[:2] for r in expected if isinstance(r, tuple) and not r[0]] == \
+            [(False, None)] * 2
+
+        def positions(_rho):
+            raise AssertionError("a packet walk read TotalOrder.positions")
+        monkeypatch.setattr(TotalOrder, "positions", property(positions))
+        assert run() == expected
+        with pytest.raises(AssertionError, match="read TotalOrder.positions"):
+            crosses_oracle(rho_min("B", 3, 1), -1, 1)
 
 
 class TestEnumerateAdmissible:
@@ -444,9 +572,44 @@ class TestExtremaAndChains:
 
     @pytest.mark.parametrize("family,n,k",
                              [("B", 2, 1), ("B", 2, 2), ("B", 3, 2),
-                              ("A", 3, 1), ("A", 4, 2)])
+                              ("A", 3, 1), ("A", 4, 2), ("A", 2, 2), ("A", 3, 3)])
     def test_chain_label_bijection(self, family, n, k):
+        # at k = n in type A: one class, one empty chain, and one (empty)
+        # admissible ordering of the empty level-(n+1) ground set
         assert chains_bijection_check(build_poset(family, n, k))
+
+    @pytest.mark.parametrize("family,n,k", A_CASES + B_CASES + [("A", 4, 2)])
+    def test_label_index_is_upper_code(self, family, n, k):
+        # _chains_biject reads a label's index as its level-(k+1) code
+        labels = tuple(K for K, _comps in _coding(family, n, k).labels)
+        assert labels == tuple(ref_packets(family, n, k))
+        if labels:
+            assert labels == _coding(family, n, k + 1).ground
+
+    @pytest.mark.parametrize("family,n,k", [("B", 3, 1), ("A", 4, 2)])
+    def test_chain_label_bijection_rejects_perturbed_chains(self, family, n, k):
+        from bruhatb.orders import _chains_biject
+        p = build_poset(family, n, k)
+        chains = maximal_chains(p)
+        assert len(chains) > 1 and _chains_biject(p, chains)
+        # a chain with two adjacent labels swapped that share a packet one
+        # level up, which has three or more members: it becomes inadmissible
+        upper = ref_packets(family, n, k + 1)
+        at, t = next((i, t) for i, c in enumerate(chains) for t in range(len(c) - 1)
+                     if not commutes(c[t], c[t + 1], family, n, k + 1))
+        c = chains[at]
+        swapped = c[:t] + (c[t + 1], c[t]) + c[t + 2:]
+        assert None in {ref_reversed(TotalOrder(family, n, k + 1, swapped), packet)
+                        for packet in upper.values()}
+        replaced = (c[1],) + c[1:]
+        perturbed = {
+            "dropped": chains[:-1],
+            "duplicated": chains + chains[:1],
+            "swapped": chains[:at] + [swapped] + chains[at + 1:],
+            "replaced": chains[:at] + [replaced] + chains[at + 1:],
+        }
+        for name, bad in perturbed.items():
+            assert not _chains_biject(p, bad), name
 
     @pytest.mark.parametrize("family,n,k",
                              [("B", 2, 1), ("B", 3, 1), ("B", 2, 2),

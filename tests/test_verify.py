@@ -30,6 +30,7 @@ from bruhatb.verify import (
     classification_exhaustive,
     classify_blocked_flip,
     crosses,
+    crosses_oracle,
     crossing_agreement,
     escape_witness_agreement,
     falsified_case,
@@ -156,9 +157,23 @@ class TestCrossing:
         rep = crossing_agreement(n, k)
         assert rep["result"], rep
 
+    @pytest.mark.parametrize("n,k", [(4, 2), (5, 3)])
+    def test_matches_oracle_type_a(self, n, k):
+        # a scan that also pinned every odd code agreed with the oracle on
+        # every type B case up to rank 3, but not on A(5,3)
+        for rho in enumerate_admissible("A", n, k):
+            for a, b in itertools.permutations(rho.seq, 2):
+                assert crosses(rho, a, b) == crosses_oracle(rho, a, b), (str(rho), a, b)
+
     def test_rejects_equal_elements(self):
         with pytest.raises(ValueError):
             crosses(rho_min("B", 2, 2), star((1,)), star((1,)))
+
+    def test_rejects_element_outside_ground_set(self):
+        outside, inside = normalize_orbit((-3, 1)), star((1,))
+        for a, b in [(outside, inside), (inside, outside)]:
+            with pytest.raises(ValueError, match=r"\[-3,1\] is not in the ground set"):
+                crosses(rho_min("B", 2, 2), a, b)
 
 
 class TestBlocking:
