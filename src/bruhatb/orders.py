@@ -9,10 +9,12 @@ inversion set as rank function.
 
 from __future__ import annotations
 
+import gc
 import itertools
 import json
 import os
 from collections import deque
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import NamedTuple
@@ -434,6 +436,19 @@ class BruhatPoset:
         return frozenset(K for K, _ in _coding(self.family, self.n, self.k).labels)
 
 
+@contextmanager
+def _gc_paused():
+    """Pause the process-wide cyclic GC over bulk work that creates no cycles."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+@_gc_paused()
 def build_poset(family: str, n: int, k: int,
                 max_nodes: int | None = None) -> BruhatPoset:
     """BFS closure of packet flips starting from the minimal class.
@@ -519,6 +534,7 @@ def check_extrema(p: BruhatPoset) -> ExtremaReport:
     return ExtremaReport(len(mins) == 1, len(maxs) == 1, graded)
 
 
+@_gc_paused()
 def maximal_chains(p: BruhatPoset) -> list[tuple]:
     """Edge-label sequences of all minimum-to-maximum paths, in label order.
 
@@ -564,6 +580,7 @@ def maximal_chains(p: BruhatPoset) -> list[tuple]:
     return chains
 
 
+@_gc_paused()
 def enumerate_admissible(family: str, n: int, k: int) -> list[TotalOrder]:
     """All admissible orderings of the level-k ground set (admissible_sequences)."""
     coding = _coding(family, n, k)
@@ -572,6 +589,7 @@ def enumerate_admissible(family: str, n: int, k: int) -> list[TotalOrder]:
             for seq in admissible_sequences(range(len(coding.ground)), packets)]
 
 
+@_gc_paused()
 def admissible_sequences(ground, packets) -> list[tuple]:
     """Orderings of ground that keep each packet in packet order or reversed.
 
@@ -629,6 +647,7 @@ def admissible_sequences(ground, packets) -> list[tuple]:
                 del orient[pid]
 
     extend()
+    del extend      # break the cycle extend -> its closure -> extend, which holds out
     return out
 
 
@@ -648,6 +667,7 @@ def chains_bijection_check(p: BruhatPoset) -> bool:
     return _chains_biject(p, maximal_chains(p))
 
 
+@_gc_paused()
 def _chains_biject(p: BruhatPoset, chains: list[tuple]) -> bool:
     """chains_bijection_check on the already listed maximal_chains(p).
 
@@ -660,9 +680,13 @@ def _chains_biject(p: BruhatPoset, chains: list[tuple]) -> bool:
     coding = _coding(p.family, p.n, p.k)
     upper = _coding(p.family, p.n, p.k + 1).labels if coding.labels else ()
     packets = [tuple(codes for codes, _mask in comps) for _K, comps in upper]
-    orders = {tuple([coding.label_code.get(K, -1) for K in chain]) for chain in chains}
-    return len(orders) == len(chains) and orders == set(
-        admissible_sequences(range(len(coding.labels)), packets))
+    left = set(admissible_sequences(range(len(coding.labels)), packets))
+    for chain in chains:    # each chain takes its own ordering, and only once
+        try:
+            left.remove(tuple([coding.label_code.get(K, -1) for K in chain]))
+        except KeyError:
+            return False
+    return not left
 
 
 def inv_injectivity_check(p: BruhatPoset) -> bool:

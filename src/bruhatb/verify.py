@@ -550,11 +550,15 @@ def obstruction_case_suite(n: int = 3) -> list[dict]:
 def nonmaximal_has_flip(n: int) -> dict:
     """Below the top class there is always an uninverted flip candidate."""
     from .orders import build_poset
-    p = build_poset("B", n, 2)
+    return _nonmaximal_has_flip(build_poset("B", n, 2))
+
+
+def _nonmaximal_has_flip(p) -> dict:
+    """nonmaximal_has_flip on the already built build_poset("B", n, 2)."""
     full = p.full_inv
     stuck = [nd.canon for nd in p.nodes.values() if nd.inv != full
              and not class_flip_candidates(OrderClass(nd.canon)) - nd.inv]
-    return _report("nonmaximal-class-has-flip", {"n": n, "k": 2}, not stuck,
+    return _report("nonmaximal-class-has-flip", {"n": p.n, "k": 2}, not stuck,
                    {"canon": str(stuck[0])} if stuck else None)
 
 
@@ -588,11 +592,17 @@ def _suite_tasks(name: str, n: int):
     from .orders import _chains_biject, build_poset, check_extrema, \
         inv_injectivity_check, maximal_chains
 
+    posets = {}         # (family, n, k) -> its poset, built once per suite run
     chain_counts = {}   # (family, n, k) -> maximal chains listed by poset_checks
+
+    def poset(family, nn, k):
+        if (family, nn, k) not in posets:
+            posets[family, nn, k] = build_poset(family, nn, k)
+        return posets[family, nn, k]
 
     def poset_checks(family, nn, k, expect_nodes=None):
         def run():
-            p = build_poset(family, nn, k)
+            p = poset(family, nn, k)
             rep = check_extrema(p)
             ok = rep.unique_min and rep.unique_max and rep.graded
             ok = ok and inv_injectivity_check(p)
@@ -618,7 +628,7 @@ def _suite_tasks(name: str, n: int):
         def word_count():
             chains = chain_counts.get(("A", n, 1))
             if chains is None:      # n < 3, or the flip-poset task raised
-                chains = len(maximal_chains(build_poset("A", n, 1)))
+                chains = len(maximal_chains(poset("A", n, 1)))
             return _report("reduced-word-count", {"family": "A", "n": n},
                            chains == len(weyl.reduced_words_brute("A", n)))
         tasks.append(word_count)
@@ -627,19 +637,21 @@ def _suite_tasks(name: str, n: int):
             expect = 2 ** nn * math.factorial(nn)
             tasks.append(poset_checks("B", nn, 1, expect))
             tasks.append(lambda nn=nn: _report(
-                "weak-order-isomorphism", {"n": nn}, weyl.iso_check(nn)))
+                "weak-order-isomorphism", {"n": nn},
+                weyl._iso_check(poset("B", nn, 1))))
     if name in ("typeB-k2", "all"):
         for nn in range(2, n + 1):
             tasks.append(poset_checks("B", nn, 2))
             tasks.append(lambda nn=nn: blocking_agreement(nn))
-            tasks.append(lambda nn=nn: nonmaximal_has_flip(nn))
+            tasks.append(lambda nn=nn: _nonmaximal_has_flip(poset("B", nn, 2)))
     if name in ("weyl", "all"):
         for nn in range(2, n + 1):
             tasks.append(lambda nn=nn: _report(
                 "root-inversion-compatibility", {"n": nn},
                 weyl.check_root_inversions(nn)))
             tasks.append(lambda nn=nn: _report(
-                "chain-words-reduced", {"n": nn}, _chain_words_ok(nn)))
+                "chain-words-reduced", {"n": nn},
+                _chain_words_ok(poset("B", nn, 1))))
             tasks.append(lambda nn=nn: _counted(
                 "level1-group-bijection", nn, weyl.level1_group_bijection_check))
             tasks.append(lambda nn=nn: _counted(
@@ -658,12 +670,14 @@ def _suite_tasks(name: str, n: int):
     return tasks
 
 
-def _chain_words_ok(n: int) -> bool:
-    from .orders import build_poset, maximal_chains
+def _chain_words_ok(p) -> bool:
+    """Every maximal chain of p = build_poset("B", n, 1) reads off a reduced
+    word of the longest element of B_n."""
+    from .orders import maximal_chains
     from .weyl import chain_to_word, longest_b
-    for labels in maximal_chains(build_poset("B", n, 1)):
-        word = chain_to_word(labels, "B", n)
-        if not word.is_reduced() or word.evaluate() != longest_b(n):
+    for labels in maximal_chains(p):
+        word = chain_to_word(labels, "B", p.n)
+        if not word.is_reduced() or word.evaluate() != longest_b(p.n):
             return False
     return True
 

@@ -18,6 +18,7 @@ from functools import cached_property, lru_cache
 
 from .core import BElem, enumerate_B
 from .orders import (
+    BruhatPoset,
     TotalOrder,
     _coding,
     _flip_runs,
@@ -342,7 +343,12 @@ def iso_check(n: int) -> bool:
     left multiplication by a simple reflection, with matching cover sets.  An
     edge's generator is the last slot its flip moves, less n (chain_to_word).
     """
-    poset = build_poset("B", n, 1)
+    return _iso_check(build_poset("B", n, 1))
+
+
+def _iso_check(poset: BruhatPoset) -> bool:
+    """iso_check on the already built build_poset("B", n, 1)."""
+    n = poset.n
     weak = weak_order_poset(n)
     window = {}
     for key, node in poset.nodes.items():

@@ -1,5 +1,6 @@
 """Admissibility, inversion sets, flips, classes, and the flip posets."""
 
+import gc
 import hashlib
 import itertools
 import json
@@ -616,6 +617,83 @@ class TestExtremaAndChains:
                               ("B", 3, 2), ("A", 4, 2)])
     def test_inversion_sets_injective(self, family, n, k):
         assert inv_injectivity_check(build_poset(family, n, k))
+
+
+class TestGcPause:
+    """The bulk listings pause the cyclic collector and leave it as they found it."""
+
+    CALLS = {
+        "build_poset": lambda: build_poset("B", 2, 2),
+        "maximal_chains": lambda: maximal_chains(build_poset("B", 2, 1)),
+        "enumerate_admissible": lambda: enumerate_admissible("B", 2, 2),
+        "admissible_sequences": lambda: admissible_sequences("abc", [(tuple("abc"),)]),
+        "chains_bijection_check": lambda: chains_bijection_check(build_poset("B", 2, 2)),
+    }
+    # a callee inside each paused block, patched to raise
+    CALLEES = {
+        "build_poset": "_class_flips",
+        "maximal_chains": "check_extrema",
+        "enumerate_admissible": "admissible_sequences",
+        "admissible_sequences": None,
+        "chains_bijection_check": "admissible_sequences",
+    }
+
+    @pytest.fixture(autouse=True)
+    def restore_collector(self):
+        enabled = gc.isenabled()
+        yield
+        (gc.enable if enabled else gc.disable)()
+
+    @pytest.mark.parametrize("call", list(CALLS))
+    def test_collector_on_after_return(self, call):
+        gc.enable()
+        assert self.CALLS[call]()
+        assert gc.isenabled()
+
+    @pytest.mark.parametrize("call", list(CALLS))
+    def test_collector_on_after_raise(self, call, monkeypatch):
+        from bruhatb import orders
+        callee = self.CALLEES[call]
+        if callee is None:      # nothing to patch: a packet member outside ground raises
+            run = lambda: admissible_sequences("ab", [(tuple("abz"),)])
+        else:
+            def boom(*args, **kwargs):
+                raise RuntimeError("callee failed")
+            monkeypatch.setattr(orders, callee, boom)
+            run = self.CALLS[call]
+        gc.enable()
+        with pytest.raises((RuntimeError, KeyError)):
+            run()
+        assert gc.isenabled()
+
+    @pytest.mark.parametrize("call", list(CALLS))
+    def test_collector_left_off_for_a_caller_that_turned_it_off(self, call):
+        gc.disable()
+        assert self.CALLS[call]()
+        assert not gc.isenabled()
+
+    @pytest.mark.parametrize("call", list(CALLS))
+    def test_no_cyclic_garbage(self, call):
+        # what makes the pause safe: reference counting frees all a call makes
+        self.CALLS[call]()      # fill the lazy tables first
+        gc.collect()
+        gc.disable()
+        self.CALLS[call]()
+        assert gc.collect() == 0
+
+    @pytest.mark.parametrize("outer", ["enumerate_admissible", "chains_bijection_check"])
+    def test_nested_pause_keeps_collector_off(self, outer, monkeypatch):
+        from bruhatb import orders
+        real, seen = orders.admissible_sequences, []
+
+        def spy(*args):
+            out = real(*args)
+            seen.append(gc.isenabled())     # back in the outer paused block
+            return out
+        monkeypatch.setattr(orders, "admissible_sequences", spy)
+        gc.enable()
+        assert self.CALLS[outer]()
+        assert seen == [False] and gc.isenabled()
 
 
 class TestExport:

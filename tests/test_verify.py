@@ -434,6 +434,23 @@ class TestMsTypeASuite:
         assert all(r["result"] for r in reports)
 
 
+class TestAllSuite:
+    def test_each_poset_built_once(self, monkeypatch):
+        from bruhatb import orders, weyl
+        built = []
+
+        def counting_build(*args, **kwargs):
+            built.append(args)
+            return build_poset(*args, **kwargs)
+        monkeypatch.setattr(orders, "build_poset", counting_build)
+        monkeypatch.setattr(weyl, "build_poset", counting_build)
+        reports = run_suite("all", 3)
+        configs = [("A", 3, 1), ("A", 3, 2), ("B", 2, 1), ("B", 2, 2),
+                   ("B", 3, 1), ("B", 3, 2)]
+        assert sorted(built) == configs
+        assert all(r["result"] for r in reports)
+
+
 class TestWeylSuite:
     def test_certifies_word_claims(self):
         reports = run_suite("weyl", 3)
