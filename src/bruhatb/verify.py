@@ -445,93 +445,82 @@ def _report(check: str, params: dict, ok: bool, counterexample=None) -> dict:
     return rep
 
 
-def _counted(check: str, n: int, fn) -> dict:
-    """Report of a check fn(n) -> (holds, instances); fails when it tests nothing."""
-    ok, instances = fn(n)
+def _counted(check: str, n: int, outcome: tuple[bool, int]) -> dict:
+    """Report of a check's (holds, instances); fails when it tested nothing."""
+    ok, instances = outcome
     return _report(check, {"n": n, "instances": instances}, ok and instances > 0)
+
+
+def _exhaustive(check: str, params: dict, verdicts) -> dict:
+    """Report of a check over all its cases: verdicts yields None for each
+    case that holds and a counterexample for one that fails.  Stops at the
+    first counterexample, counts the cases in params.instances, and fails
+    when there were none."""
+    instances, bad = 0, None
+    for bad in verdicts:
+        instances += 1
+        if bad is not None:
+            break
+    return _report(check, {**params, "instances": instances},
+                   bad is None and instances > 0, bad)
 
 
 def crossing_agreement(n: int, k: int) -> dict:
     """Exhaustive crossing-scan vs class-oracle comparison at one level."""
-    bad = None
-    tested = 0
-    for rho in enumerate_admissible("B", n, k):
-        for a, b in itertools.permutations(rho.seq, 2):
-            tested += 1
-            if crosses(rho, a, b) != crosses_oracle(rho, a, b):
-                bad = {"rho": str(rho), "a": format_element(a),
-                       "b": format_element(b)}
-                break
-        if bad:
-            break
-    return _report("crossing-vs-oracle", {"n": n, "k": k, "instances": tested},
-                   bad is None, bad)
+    return _exhaustive("crossing-vs-oracle", {"n": n, "k": k}, (
+        None if crosses(rho, a, b) == crosses_oracle(rho, a, b)
+        else {"rho": str(rho), "a": format_element(a), "b": format_element(b)}
+        for rho in enumerate_admissible("B", n, k)
+        for a, b in itertools.permutations(rho.seq, 2)))
 
 
 def blocking_agreement(n: int) -> dict:
     """Blocking-based flip candidacy vs class enumeration, all (rho, K)."""
-    bad = None
-    for rho in enumerate_admissible("B", n, 2):
-        direct = class_flip_candidates_oracle(rho)
-        for K in enumerate_B(n, 3):
-            if flip_candidate_by_blocking(rho, K) != (K in direct):
-                bad = {"rho": str(rho), "K": format_element(K)}
-                break
-        if bad:
-            break
-    return _report("blocking-vs-class-enumeration", {"n": n, "k": 2},
-                   bad is None, bad)
+    return _exhaustive("blocking-vs-class-enumeration", {"n": n, "k": 2}, (
+        None if flip_candidate_by_blocking(rho, K) == (K in direct)
+        else {"rho": str(rho), "K": format_element(K)}
+        for rho in enumerate_admissible("B", n, 2)
+        for direct in (class_flip_candidates_oracle(rho),)
+        for K in enumerate_B(n, 3)))
 
 
 def classification_exhaustive(n: int) -> dict:
     """Every blocked, uninverted level-3 flip matches one pattern."""
-    bad = None
-    checked = 0
-    for rho in enumerate_admissible("B", n, 2):
-        skip = class_flip_candidates(canonical_form(rho)) | inversion_set(rho)
-        below = dependence_order(rho)
-        for K in enumerate_B(n, 3):
-            if K in skip:
-                continue
-            checked += 1
-            try:
-                _match_pattern(rho, below, K)
-            except ClassifyError:
-                bad = {"rho": str(rho), "K": format_element(K)}
-                break
-        if bad:
-            break
-    return _report("blocked-flip-classification", {"n": n, "checked": checked},
-                   bad is None and checked > 0, bad)
+    def verdicts():
+        for rho in enumerate_admissible("B", n, 2):
+            skip = class_flip_candidates(canonical_form(rho)) | inversion_set(rho)
+            below = dependence_order(rho)
+            for K in enumerate_B(n, 3):
+                if K in skip:
+                    continue
+                try:
+                    _match_pattern(rho, below, K)
+                except ClassifyError:
+                    yield {"rho": str(rho), "K": format_element(K)}
+                else:
+                    yield None
+    return _exhaustive("blocked-flip-classification", {"n": n}, verdicts())
 
 
 def escape_witness_agreement(n: int) -> dict:
     """Every escape from a packet interval stays in the class and drops x."""
-    bad = None
-    instances = 0
-    for rho in enumerate_admissible("B", n, 2):
-        below, code = dependence_order(rho), _coding(rho.family, rho.n, rho.k).code
-        canon = canonical_form(rho).canon
-        for K in enumerate_B(n, 3):
-            S = packet_B(K).elements
-            interval = set(minimal_chain(rho, S))
-            for x in rho.seq:
-                if x in S or _blocks(below, code, x, S):
-                    continue
-                instances += 1
-                w = _escape(rho, below, code, S, x)
-                inside = set(minimal_chain(w, S))
-                if (x in inside or not inside <= interval
-                        or w is not rho and canonical_form(w).canon != canon):
-                    bad = {"rho": str(rho), "K": format_element(K),
-                           "x": format_element(x)}
-                    break
-            if bad:
-                break
-        if bad:
-            break
-    return _report("interval-escape-witness", {"n": n, "instances": instances},
-                   bad is None and instances > 0, bad)
+    def verdicts():
+        for rho in enumerate_admissible("B", n, 2):
+            below, code = dependence_order(rho), _coding(rho.family, rho.n, rho.k).code
+            canon = canonical_form(rho).canon
+            for K in enumerate_B(n, 3):
+                S = packet_B(K).elements
+                interval = set(minimal_chain(rho, S))
+                for x in rho.seq:
+                    if x in S or _blocks(below, code, x, S):
+                        continue
+                    w = _escape(rho, below, code, S, x)
+                    inside = set(minimal_chain(w, S))
+                    yield (None if x not in inside and inside <= interval
+                           and (w is rho or canonical_form(w).canon == canon)
+                           else {"rho": str(rho), "K": format_element(K),
+                                 "x": format_element(x)})
+    return _exhaustive("interval-escape-witness", {"n": n}, verdicts())
 
 
 def obstruction_case_suite(n: int = 3) -> list[dict]:
@@ -588,17 +577,16 @@ def _run_task(task):
 
 
 def _suite_tasks(name: str, n: int):
+    from functools import cache
+
     from . import weyl
     from .orders import _chains_biject, build_poset, check_extrema, \
         inv_injectivity_check, maximal_chains
 
-    posets = {}         # (family, n, k) -> its poset, built once per suite run
+    # built once per suite run: each poset, and each B(n,1)'s chain-word table
+    poset = cache(build_poset)
+    words = cache(lambda nn: weyl.chain_words(poset("B", nn, 1)))
     chain_counts = {}   # (family, n, k) -> maximal chains listed by poset_checks
-
-    def poset(family, nn, k):
-        if (family, nn, k) not in posets:
-            posets[family, nn, k] = build_poset(family, nn, k)
-        return posets[family, nn, k]
 
     def poset_checks(family, nn, k, expect_nodes=None):
         def run():
@@ -651,15 +639,17 @@ def _suite_tasks(name: str, n: int):
                 weyl.check_root_inversions(nn)))
             tasks.append(lambda nn=nn: _report(
                 "chain-words-reduced", {"n": nn},
-                _chain_words_ok(poset("B", nn, 1))))
+                all(w.is_reduced() and w.evaluate() == weyl.longest_b(nn)
+                    for w in words(nn).values())))
             tasks.append(lambda nn=nn: _counted(
-                "level1-group-bijection", nn, weyl.level1_group_bijection_check))
+                "level1-group-bijection", nn, weyl.level1_group_bijection_check(nn)))
             tasks.append(lambda nn=nn: _counted(
-                "flip-braid-correspondence", nn, weyl.flip_braid_correspondence))
+                "flip-braid-correspondence", nn,
+                weyl.flip_braid_correspondence(words(nn))))
             if nn >= 3:     # B(2,2) has no commuting adjacent pair to swap
                 tasks.append(lambda nn=nn: _counted(
                     "swap-commutation-correspondence", nn,
-                    weyl.swap_commutation_correspondence))
+                    weyl.swap_commutation_correspondence(words(nn))))
     if name in ("appendix", "all"):
         for nn in range(2, n + 1):
             for k in (1, 2):
@@ -668,18 +658,6 @@ def _suite_tasks(name: str, n: int):
         tasks.append(lambda: classification_exhaustive(3))
         tasks.append(lambda: escape_witness_agreement(3))
     return tasks
-
-
-def _chain_words_ok(p) -> bool:
-    """Every maximal chain of p = build_poset("B", n, 1) reads off a reduced
-    word of the longest element of B_n."""
-    from .orders import maximal_chains
-    from .weyl import chain_to_word, longest_b
-    for labels in maximal_chains(p):
-        word = chain_to_word(labels, "B", p.n)
-        if not word.is_reduced() or word.evaluate() != longest_b(p.n):
-            return False
-    return True
 
 
 def reports_to_json(reports: list[dict]) -> str:

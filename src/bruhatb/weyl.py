@@ -5,14 +5,14 @@ permutations; packet flips become left multiplications by simple reflections,
 identifying the level-1 flip poset with the weak left Bruhat order.  Maximal
 chains then read off as reduced words for the longest element.
 
-Root conventions differ by family on purpose: type A uses positive roots
-e_i - e_j for i < j, type B uses e_i, e_i - e_j and e_i + e_j for i > j.
+Both families live in the hyperoctahedral group: a type A permutation is a
+signed permutation with a positive window.  Roots are type B only: e_i,
+e_i - e_j and e_i + e_j for i > j.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -24,9 +24,11 @@ from .orders import (
     _flip_runs,
     _placed,
     build_poset,
+    commutes,
     enumerate_admissible,
     flip_candidates,
     inversion_set,
+    maximal_chains,
     packet_flip,
 )
 
@@ -157,14 +159,6 @@ def root_of(K) -> Root:
     raise ValueError(f"not a level-2 type B element: {K!r}")
 
 
-def root_of_a(S: tuple[int, int]) -> tuple[int, int]:
-    """Type A: the 2-subset {i, j} with i < j stands for e_i - e_j."""
-    i, j = S
-    if not i < j:
-        raise ValueError(f"expected an increasing pair, got {S}")
-    return (i, j)
-
-
 def act(pi: SignedPermutation, alpha: Root) -> Root:
     """Image of a root under the reflection representation."""
     def image(idx: int) -> tuple[int, int]:
@@ -199,76 +193,50 @@ def weyl_length(pi: SignedPermutation) -> int:
                for i, v in enumerate(w))
 
 
-# type A counterparts over plain permutations (window tuples)
-
-def inversions_a(w: tuple[int, ...]) -> frozenset[tuple[int, int]]:
-    n = len(w)
-    return frozenset((i, j) for i in range(1, n) for j in range(i + 1, n + 1)
-                     if w[i - 1] > w[j - 1])
-
-
-def length_a(w: tuple[int, ...]) -> int:
-    return len(inversions_a(w))
-
-
-def simple_reflection_a(n: int, g: int) -> tuple[int, ...]:
-    if not 1 <= g <= n - 1:
-        raise ValueError(f"generator index out of range: {g}")
-    images = list(range(1, n + 1))
-    images[g - 1], images[g] = g + 1, g
-    return tuple(images)
-
-
-def compose_a(u: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(u[v[i] - 1] for i in range(len(u)))
-
-
-def longest_a(n: int) -> tuple[int, ...]:
-    return tuple(range(n, 0, -1))
+def longest_a(n: int) -> SignedPermutation:
+    return SignedPermutation(tuple(range(n, 0, -1)))
 
 
 @dataclass(frozen=True)
 class GroupTable:
     """What replaying words needs of the type A or type B Weyl group.
 
+    Both are groups of signed permutations: type A is the subgroup of B_n on
+    positive windows, generated by s_1 ... s_{n-1}, and only type B has s_0.
     `reflections` maps each generator index g to the simple reflection s_g.
     """
 
-    identity: object
+    identity: SignedPermutation
     reflections: dict
-    compose: Callable     # (u, v) -> u after v
-    length: Callable
-    longest: object
+    longest: SignedPermutation
 
-    def mult(self, g: int, w):
+    def mult(self, g: int, w: SignedPermutation) -> SignedPermutation:
         """The product s_g w."""
         if g not in self.reflections:
             raise ValueError(f"generator index out of range: {g}")
-        return self.compose(self.reflections[g], w)
+        return self.reflections[g].compose(w)
 
 
 @lru_cache(maxsize=None)
 def group_table(family: str, n: int) -> GroupTable:
-    if family == "A":
-        return GroupTable(tuple(range(1, n + 1)),
-                          {g: simple_reflection_a(n, g) for g in range(1, n)},
-                          compose_a, length_a, longest_a(n))
-    if family == "B":
-        return GroupTable(identity_b(n),
-                          {g: simple_reflection_b(n, g) for g in range(n)},
-                          SignedPermutation.compose, weyl_length, longest_b(n))
-    raise ValueError(f"unknown family {family!r}")
+    if family not in ("A", "B"):
+        raise ValueError(f"unknown family {family!r}")
+    first = 0 if family == "B" else 1
+    return GroupTable(identity_b(n),
+                      {g: simple_reflection_b(n, g) for g in range(first, n)},
+                      longest_b(n) if family == "B" else longest_a(n))
 
 
 # ---------------------------------------------------------------------------
 # orderings <-> group elements
 # ---------------------------------------------------------------------------
 
-def order_to_perm(rho: TotalOrder):
+def order_to_perm(rho: TotalOrder) -> SignedPermutation:
     """The permutation sending the element in slot i to i.
 
-    Type B slots run -n..-1, 1..n; admissibility forces the result to be a
-    signed permutation (negation-reversed ordering), which is checked.
+    Type A slots run 1..n, giving a positive window.  Type B slots run
+    -n..-1, 1..n; admissibility forces the result to be a signed permutation
+    (negation-reversed ordering), which is checked.
     """
     if rho.k != 1:
         raise ValueError("only level-1 orderings correspond to permutations")
@@ -276,7 +244,7 @@ def order_to_perm(rho: TotalOrder):
         images = [0] * rho.n
         for slot, e in enumerate(rho.seq, start=1):
             images[e[0] - 1] = slot
-        return tuple(images)
+        return SignedPermutation(tuple(images))
     n = rho.n
     labels = list(range(-n, 0)) + list(range(1, n + 1))
     mapping = {e: lab for e, lab in zip(rho.seq, labels)}
@@ -315,24 +283,24 @@ class WeakOrderGraph:
 
 def weak_order_poset(n: int) -> WeakOrderGraph:
     """Weak left order on the hyperoctahedral group."""
-    return _weak_order("B", n, all_signed_permutations(n), lambda pi: pi.images)
+    return _weak_order("B", n, all_signed_permutations(n))
 
 
 def weak_order_poset_a(n: int) -> WeakOrderGraph:
-    """Weak left order on the symmetric group."""
-    return _weak_order("A", n, list(itertools.permutations(range(1, n + 1))),
-                       lambda w: w)
+    """Weak left order on the symmetric group, the positive windows of B_n."""
+    return _weak_order("A", n, [SignedPermutation(w)
+                                for w in itertools.permutations(range(1, n + 1))])
 
 
-def _weak_order(family: str, n: int, elems, window) -> WeakOrderGraph:
+def _weak_order(family: str, n: int, elems) -> WeakOrderGraph:
     table = group_table(family, n)
-    ranks = {window(w): table.length(w) for w in elems}
+    ranks = {w.images: weyl_length(w) for w in elems}
     edges = set()
     for w in elems:
         for g in table.reflections:
             nxt = table.mult(g, w)
-            if ranks[window(nxt)] == ranks[window(w)] + 1:
-                edges.add((window(w), window(nxt), g))
+            if ranks[nxt.images] == ranks[w.images] + 1:
+                edges.add((w.images, nxt.images, g))
     return WeakOrderGraph(n, ranks, edges)
 
 
@@ -347,9 +315,11 @@ def iso_check(n: int) -> bool:
 
 
 def _iso_check(poset: BruhatPoset) -> bool:
-    """iso_check on the already built build_poset("B", n, 1)."""
-    n = poset.n
-    weak = weak_order_poset(n)
+    """iso_check on the already built build_poset(family, n, 1), against
+    that family's weak order; the generator is the last slot moved, less n
+    only in type B."""
+    n, family = poset.n, poset.family
+    weak = weak_order_poset(n) if family == "B" else weak_order_poset_a(n)
     window = {}
     for key, node in poset.nodes.items():
         pi = order_to_perm(node.canon)
@@ -358,11 +328,12 @@ def _iso_check(poset: BruhatPoset) -> bool:
             return False
     if len({pi.images for pi in window.values()}) != len(weak.ranks):
         return False
-    table = group_table("B", n)
+    table = group_table(family, n)
+    shift = n if family == "B" else 0
     mapped = set()
     for src, dst, K in poset.edges:
         coding, seq, pos = _placed(poset.nodes[src].canon)
-        gen = _flip_runs(seq, pos, coding.labels[coding.label_code[K]][1]) - n
+        gen = _flip_runs(seq, pos, coding.labels[coding.label_code[K]][1]) - shift
         if gen not in table.reflections or table.mult(gen, window[src]) != window[dst]:
             return False
         mapped.add((window[src].images, window[dst].images, gen))
@@ -385,15 +356,14 @@ class ReducedWord:
     n: int
     letters: tuple[int, ...]
 
-    def evaluate(self):
+    def evaluate(self) -> SignedPermutation:
         return self._element
 
     def is_reduced(self) -> bool:
-        length = group_table(self.family, self.n).length(self._element)
-        return length == len(self.letters)
+        return weyl_length(self._element) == len(self.letters)
 
     @cached_property
-    def _element(self):
+    def _element(self) -> SignedPermutation:
         """The product, evaluated once on an integer window.
 
         s_g w swaps the values g and g + 1 of w's window and their negatives
@@ -409,8 +379,7 @@ class ReducedWord:
                 inv[g - 1], inv[g] = inv[g], inv[g - 1]
             else:
                 inv[0] = -inv[0]
-        w = SignedPermutation(tuple(inv)).inverse()
-        return w if self.family == "B" else w.images
+        return SignedPermutation(tuple(inv)).inverse()
 
     def as_applied(self) -> str:
         return " ".join(f"s{g}" for g in self.letters)
@@ -448,6 +417,12 @@ def chain_to_word(labels, family: str, n: int) -> ReducedWord:
     return ReducedWord(family, n, tuple(letters))
 
 
+def chain_words(p: BruhatPoset) -> dict:
+    """Each maximal chain of p = build_poset(family, n, 1), a level-2
+    ordering read as its label tuple, mapped to its ReducedWord."""
+    return {labels: chain_to_word(labels, p.family, p.n) for labels in maximal_chains(p)}
+
+
 def braid_classify(K) -> str:
     """Braid arity of the flip at a level-3 element: "m3" or "m4"."""
     if isinstance(K, BElem) and K.level == 3:
@@ -473,7 +448,7 @@ def reduced_words_brute(family: str, n: int) -> set[tuple[int, ...]]:
             nxt = table.mult(g, w)
             ln = lengths.get(nxt)
             if ln is None:
-                ln = lengths[nxt] = table.length(nxt)
+                ln = lengths[nxt] = weyl_length(nxt)
             if ln == lw + 1:
                 stack.append((nxt, word + (g,)))
     return words
@@ -496,27 +471,26 @@ def _generator_order(family: str, n: int, a: int, b: int) -> int:
     return m
 
 
-def _chain_words(n: int) -> dict:
-    """Word letters per admissible level-2 ordering, via chain replay."""
-    return {rho.seq: chain_to_word(rho.seq, "B", n).letters
-            for rho in enumerate_admissible("B", n, 2)}
-
-
-def flip_braid_correspondence(n: int) -> tuple[bool, int]:
+def flip_braid_correspondence(words: dict) -> tuple[bool, int]:
     """Level-2 flips act on chain words as braid moves of the right arity.
 
-    Flipping an orbit element replaces an alternating block s t s by t s t
-    (generators of order 3); flipping a star element replaces s t s t by
-    t s t s (order 4).  Letters outside the flipped block are untouched.
+    words is chain_words(build_poset(family, n, 1)), keyed by the admissible
+    level-2 orderings.  Flipping an orbit element replaces an alternating
+    block s t s by t s t (generators of order 3); flipping a star element
+    replaces s t s t by t s t s (order 4).  Letters outside the flipped block
+    are untouched, and a flip to an ordering missing from words fails.
     Returns (ok, flips checked).
     """
-    words = _chain_words(n)
     flips = 0
-    for rho in enumerate_admissible("B", n, 2):
-        w1 = words[rho.seq]
+    for seq, word in words.items():
+        rho = TotalOrder(word.family, word.n, 2, seq)
+        w1 = word.letters
         for K in flip_candidates(rho):
             flips += 1
-            w2 = words[packet_flip(rho, K).seq]
+            flipped = words.get(packet_flip(rho, K).seq)
+            if flipped is None:
+                return False, flips
+            w2 = flipped.letters
             diff = [t for t in range(len(w1)) if w1[t] != w2[t]]
             arity = 3 if braid_classify(K) == "m3" else 4
             if len(diff) != arity or diff != list(range(diff[0], diff[-1] + 1)):
@@ -525,28 +499,32 @@ def flip_braid_correspondence(n: int) -> tuple[bool, int]:
             a, b = w1[lo], w1[lo + 1]
             if (a == b or w1[lo:lo + arity] != ((a, b) * arity)[:arity]
                     or w2[lo:lo + arity] != ((b, a) * arity)[:arity]
-                    or _generator_order("B", n, a, b) != arity):
+                    or _generator_order(word.family, word.n, a, b) != arity):
                 return False, flips
     return True, flips
 
 
-def swap_commutation_correspondence(n: int) -> tuple[bool, int]:
-    """Swaps of commuting labels exchange commuting word letters: (ok, swaps)."""
-    from .orders import commutes
-    words = _chain_words(n)
+def swap_commutation_correspondence(words: dict) -> tuple[bool, int]:
+    """Swaps of commuting labels exchange commuting word letters: (ok, swaps).
+
+    words is as for flip_braid_correspondence; a swap to an ordering missing
+    from words fails.
+    """
     swaps = 0
-    for rho in enumerate_admissible("B", n, 2):
-        w1 = words[rho.seq]
-        for t in range(len(rho.seq) - 1):
-            a, b = rho.seq[t], rho.seq[t + 1]
-            if not commutes(a, b, "B", n, 2):
+    for seq, word in words.items():
+        w1 = word.letters
+        for t in range(len(seq) - 1):
+            a, b = seq[t], seq[t + 1]
+            if not commutes(a, b, word.family, word.n, 2):
                 continue
             swaps += 1
-            swapped = rho.seq[:t] + (b, a) + rho.seq[t + 2:]
-            w2 = words[swapped]
+            swapped = words.get(seq[:t] + (b, a) + seq[t + 2:])
+            if swapped is None:
+                return False, swaps
+            w2 = swapped.letters
             if ([u for u in range(len(w1)) if w1[u] != w2[u]] != [t, t + 1]
                     or (w1[t], w1[t + 1]) != (w2[t + 1], w2[t])
-                    or _generator_order("B", n, w1[t], w1[t + 1]) != 2):
+                    or _generator_order(word.family, word.n, w1[t], w1[t + 1]) != 2):
                 return False, swaps
     return True, swaps
 

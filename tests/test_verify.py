@@ -1,7 +1,9 @@
 """Crossing, blocking, escape witnesses, and the obstruction case machinery."""
 
 import functools
+import hashlib
 import itertools
+import json
 
 import pytest
 
@@ -42,7 +44,7 @@ from bruhatb.verify import (
     run_suite,
     standard_cases,
 )
-from bruhatb.weyl import swap_commutation_correspondence
+from bruhatb.weyl import chain_words, swap_commutation_correspondence
 
 
 def _linear_extensions(ground, below) -> list[tuple]:
@@ -157,6 +159,11 @@ class TestCrossing:
         rep = crossing_agreement(n, k)
         assert rep["result"], rep
 
+    def test_rank1_level2_checks_nothing_and_fails(self):
+        # B(1,2) is the single element [1,*]: no pair to compare
+        rep = crossing_agreement(1, 2)
+        assert rep["params"]["instances"] == 0 and not rep["result"]
+
     @pytest.mark.parametrize("n,k", [(4, 2), (5, 3)])
     def test_matches_oracle_type_a(self, n, k):
         # a scan that also pinned every odd code agreed with the oracle on
@@ -210,6 +217,11 @@ class TestBlocking:
 
     def test_blocking_agreement_rank2(self):
         assert blocking_agreement(2)["result"]
+
+    def test_rank1_checks_nothing_and_fails(self):
+        # B(1,3) is empty: there is no level-3 element to flip
+        rep = blocking_agreement(1)
+        assert rep["params"]["instances"] == 0 and not rep["result"]
 
 
 class TestHeapAgainstOracle:
@@ -377,7 +389,7 @@ class TestClassification:
 
     def test_rank2_checks_nothing_and_fails(self):
         rep = classification_exhaustive(2)
-        assert rep["params"]["checked"] == 0 and not rep["result"]
+        assert rep["params"]["instances"] == 0 and not rep["result"]
 
     def test_precondition_enforced(self):
         rho = rho_min("B", 2, 2)
@@ -450,6 +462,16 @@ class TestAllSuite:
         assert sorted(built) == configs
         assert all(r["result"] for r in reports)
 
+    # sha256 of [(check, params, result)] for run_suite("all", 3) in order, as
+    # JSON; pinned from the reports before the four exhaustive checks shared
+    # one loop, with blocking-vs-class-enumeration given its instance count
+    # and blocked-flip-classification's "checked" renamed to "instances"
+    def test_golden_reports(self):
+        reports = run_suite("all", 3)
+        text = json.dumps([(r["check"], r["params"], r["result"]) for r in reports])
+        assert (len(reports), hashlib.sha256(text.encode()).hexdigest()) == (
+            36, "3316003cd96f4d60de25708b8c46da5ae91949ca28dc65d990727cb1aec261d7")
+
 
 class TestWeylSuite:
     def test_certifies_word_claims(self):
@@ -468,6 +490,6 @@ class TestWeylSuite:
     def test_check_that_tests_nothing_fails(self):
         from bruhatb.verify import _counted
         rep = _counted("swap-commutation-correspondence", 2,
-                       swap_commutation_correspondence)
+                       swap_commutation_correspondence(chain_words(build_poset("B", 2, 1))))
         assert rep["params"] == {"n": 2, "instances": 0} and not rep["result"]
-        assert not _counted("flip-braid-correspondence", 2, lambda n: (False, 4))["result"]
+        assert not _counted("flip-braid-correspondence", 2, (False, 4))["result"]

@@ -1,5 +1,6 @@
 """Permutation realizations, roots, weak orders, and chain words."""
 
+import dataclasses
 import hashlib
 import sys
 from collections import deque
@@ -25,10 +26,12 @@ from bruhatb.weyl import (
     ReducedWord,
     Root,
     SignedPermutation,
+    _iso_check,
     act,
     all_signed_permutations,
     braid_classify,
     chain_to_word,
+    chain_words,
     check_root_inversions,
     flip_braid_correspondence,
     group_table,
@@ -42,7 +45,6 @@ from bruhatb.weyl import (
     positive_roots_b,
     reduced_words_brute,
     root_of,
-    root_of_a,
     simple_reflection_b,
     swap_commutation_correspondence,
     weak_order_poset,
@@ -58,7 +60,7 @@ from test_orders import ref_flip, ref_packets  # noqa: E402
 class TestOrderToPerm:
     def test_minimum_is_identity(self):
         assert order_to_perm(rho_min("B", 3, 1)) == identity_b(3)
-        assert order_to_perm(rho_min("A", 3, 1)) == (1, 2, 3)
+        assert order_to_perm(rho_min("A", 3, 1)).images == (1, 2, 3)
 
     def test_maximum_is_longest(self):
         assert order_to_perm(rho_max("B", 3, 1)) == longest_b(3)
@@ -87,11 +89,6 @@ class TestRoots:
         assert root_of(normalize_orbit((-2, -1))) == Root("diff", 2, 1)
         assert root_of(normalize_orbit((-2, 1))) == Root("sum", 2, 1)
         assert root_of(star((2,))) == Root("short", 2)
-
-    def test_root_of_type_a(self):
-        assert root_of_a((1, 3)) == (1, 3)
-        with pytest.raises(ValueError):
-            root_of_a((3, 1))
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_root_bijection_counts(self, n):
@@ -167,6 +164,20 @@ class TestWeakOrder:
     @pytest.mark.parametrize("n", (2, 3))
     def test_flip_poset_isomorphism(self, n):
         assert iso_check(n)
+
+    @pytest.mark.parametrize("n", range(2, 6))
+    def test_type_a_flip_poset_isomorphism(self, n):
+        # A(n,1) is the weak order on S_n, the positive windows of B_n
+        assert _iso_check(build_poset("A", n, 1))
+
+    def test_type_a_swapped_edge_labels_fail(self):
+        p = build_poset("A", 4, 1)
+        assert _iso_check(p)
+        (s0, d0, K0), edges = p.edges[0], list(p.edges)
+        i = next(i for i, (_s, _d, K) in enumerate(edges) if K != K0)
+        s1, d1, K1 = edges[i]
+        edges[0], edges[i] = (s0, d0, K1), (s1, d1, K0)
+        assert not _iso_check(dataclasses.replace(p, edges=edges))
 
     def test_first_flip_edge_matches_short_reflection(self):
         base = rho_min("B", 2, 1)
@@ -283,17 +294,26 @@ class TestBraid:
 
     @pytest.mark.parametrize("n", (2, 3))
     def test_flip_braid_correspondence(self, n):
-        ok, flips = flip_braid_correspondence(n)
+        ok, flips = flip_braid_correspondence(chain_words(build_poset("B", n, 1)))
         assert ok and flips == sum(len(flip_candidates(rho))
                                    for rho in enumerate_admissible("B", n, 2))
 
     @pytest.mark.parametrize("n", (2, 3))
     def test_swap_commutation_correspondence(self, n):
-        ok, swaps = swap_commutation_correspondence(n)
+        ok, swaps = swap_commutation_correspondence(chain_words(build_poset("B", n, 1)))
         if n == 2:      # B(2,2)'s two orderings have no commuting neighbours
             assert swaps == 0
         else:
             assert ok and swaps > 0
+
+    @pytest.mark.parametrize("drop", (0, 41))
+    def test_missing_chain_fails(self, drop):
+        # a flip or swap into the dropped ordering has no word to compare
+        words = chain_words(build_poset("B", 3, 1))
+        assert len(words) == 42
+        del words[list(words)[drop]]
+        assert not flip_braid_correspondence(words)[0]
+        assert not swap_commutation_correspondence(words)[0]
 
 
 class TestReducedWordOracle:
@@ -329,7 +349,7 @@ class TestReducedWordOracle:
             word = ReducedWord(family, n, letters)
             w = replay(letters)
             assert word.evaluate() == w
-            assert word.is_reduced() == (table.length(w) == len(letters))
+            assert word.is_reduced() == (weyl_length(w) == len(letters))
             reduced += word.is_reduced()
         # the chain words, their proper suffixes and the empty word
         assert reduced == 2 * len(chain_words) + 1
