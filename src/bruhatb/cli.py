@@ -32,19 +32,20 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Higher Bruhat orders in types A and B at desk scale.")
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def common(p, levels=True):
+    def common(p, formats):
         p.add_argument("--family", choices=("A", "B"), default="B")
         p.add_argument("--n", type=int, default=3)
-        if levels:
-            p.add_argument("--k", type=int, default=1)
-        p.add_argument("--format", choices=("text", "json", "dot"),
-                       default="text")
+        p.add_argument("--k", type=int, default=1)
+        p.add_argument("--format", choices=formats, default="text")
         p.add_argument("--out", default=None)
 
-    common(sub.add_parser("enumerate", help="list a ground set in standard order"))
-    common(sub.add_parser("poset", help="build a flip poset"))
-    common(sub.add_parser("chains", help="list maximal chains of a flip poset"))
-    common(sub.add_parser("export", help="write a flip poset to a file"))
+    listing, graph = ("text", "json"), ("text", "json", "dot")
+    common(sub.add_parser("enumerate", help="list a ground set in standard order"),
+           listing)
+    common(sub.add_parser("poset", help="build a flip poset"), graph)
+    common(sub.add_parser("chains", help="list maximal chains of a flip poset"),
+           listing)
+    common(sub.add_parser("export", help="write a flip poset to a file"), graph)
     v = sub.add_parser("verify", help="run a verification suite")
     v.add_argument("--suite", choices=SUITE_NAMES, default="all")
     v.add_argument("--n", type=int, default=3)

@@ -146,37 +146,33 @@ def positive_roots_b(n: int) -> list[Root]:
     return out
 
 
+def _root(terms) -> Root:
+    """The root sum of sign(t) e_|t| over one or two signed indices t."""
+    i = max(terms, key=abs)
+    sign = 1 if i > 0 else -1
+    if len(terms) == 1:
+        return Root("short", abs(i), 0, sign)
+    j = min(terms, key=abs)
+    return Root("sum" if i * j > 0 else "diff", abs(i), abs(j), sign)
+
+
 def root_of(K) -> Root:
     """Bijection from level-2 type B elements to positive roots."""
     if isinstance(K, BElem) and K.level == 2:
         if K.kind == "star":
-            return Root("short", K.entries[0])
+            return _root(K.entries[:1])
         a, b = K.entries
-        i, j = abs(a), abs(b)
-        if i < j:
-            i, j = j, i
-        return Root("diff", i, j) if a * b > 0 else Root("sum", i, j)
+        return _root((-a, b))
     raise ValueError(f"not a level-2 type B element: {K!r}")
 
 
 def act(pi: SignedPermutation, alpha: Root) -> Root:
     """Image of a root under the reflection representation."""
-    def image(idx: int) -> tuple[int, int]:
-        v = pi(idx)
-        return abs(v), (1 if v > 0 else -1)
-
-    ai, si = image(alpha.i)
+    s = alpha.sign
     if alpha.kind == "short":
-        return Root("short", ai, 0, alpha.sign * si)
-    aj, sj = image(alpha.j)
-    cj = sj if alpha.kind == "sum" else -sj
-    # vector is si*e_ai + cj*e_aj, with ai != aj
-    if ai < aj:
-        ai, aj = aj, ai
-        si, cj = cj, si
-    if si > 0:
-        return Root("diff" if cj < 0 else "sum", ai, aj, alpha.sign)
-    return Root("diff" if cj > 0 else "sum", ai, aj, -alpha.sign)
+        return _root((pi(s * alpha.i),))
+    t = s if alpha.kind == "sum" else -s
+    return _root((pi(s * alpha.i), pi(t * alpha.j)))
 
 
 def weyl_inversions(pi: SignedPermutation) -> frozenset[Root]:
@@ -197,34 +193,17 @@ def longest_a(n: int) -> SignedPermutation:
     return SignedPermutation(tuple(range(n, 0, -1)))
 
 
-@dataclass(frozen=True)
-class GroupTable:
-    """What replaying words needs of the type A or type B Weyl group.
-
-    Both are groups of signed permutations: type A is the subgroup of B_n on
-    positive windows, generated by s_1 ... s_{n-1}, and only type B has s_0.
-    `reflections` maps each generator index g to the simple reflection s_g.
-    """
-
-    identity: SignedPermutation
-    reflections: dict
-    longest: SignedPermutation
-
-    def mult(self, g: int, w: SignedPermutation) -> SignedPermutation:
-        """The product s_g w."""
-        if g not in self.reflections:
-            raise ValueError(f"generator index out of range: {g}")
-        return self.reflections[g].compose(w)
-
-
 @lru_cache(maxsize=None)
-def group_table(family: str, n: int) -> GroupTable:
+def simple_reflections(family: str, n: int) -> dict:
+    """Generator index g -> simple reflection s_g.
+
+    Both Weyl groups are groups of signed permutations: type A is the
+    subgroup of B_n on positive windows, generated by s_1 ... s_{n-1}, and
+    only type B has s_0.
+    """
     if family not in ("A", "B"):
         raise ValueError(f"unknown family {family!r}")
-    first = 0 if family == "B" else 1
-    return GroupTable(identity_b(n),
-                      {g: simple_reflection_b(n, g) for g in range(first, n)},
-                      longest_b(n) if family == "B" else longest_a(n))
+    return {g: simple_reflection_b(n, g) for g in range(family == "A", n)}
 
 
 # ---------------------------------------------------------------------------
@@ -293,12 +272,12 @@ def weak_order_poset_a(n: int) -> WeakOrderGraph:
 
 
 def _weak_order(family: str, n: int, elems) -> WeakOrderGraph:
-    table = group_table(family, n)
+    reflections = simple_reflections(family, n)
     ranks = {w.images: weyl_length(w) for w in elems}
     edges = set()
     for w in elems:
-        for g in table.reflections:
-            nxt = table.mult(g, w)
+        for g, s in reflections.items():
+            nxt = s.compose(w)
             if ranks[nxt.images] == ranks[w.images] + 1:
                 edges.add((w.images, nxt.images, g))
     return WeakOrderGraph(n, ranks, edges)
@@ -309,15 +288,14 @@ def iso_check(n: int) -> bool:
 
     Classes map bijectively onto signed permutations and every flip edge is a
     left multiplication by a simple reflection, with matching cover sets.  An
-    edge's generator is the last slot its flip moves, less n (chain_to_word).
+    edge's generator is read as in chain_to_word.
     """
     return _iso_check(build_poset("B", n, 1))
 
 
 def _iso_check(poset: BruhatPoset) -> bool:
     """iso_check on the already built build_poset(family, n, 1), against
-    that family's weak order; the generator is the last slot moved, less n
-    only in type B."""
+    that family's weak order."""
     n, family = poset.n, poset.family
     weak = weak_order_poset(n) if family == "B" else weak_order_poset_a(n)
     window = {}
@@ -328,13 +306,13 @@ def _iso_check(poset: BruhatPoset) -> bool:
             return False
     if len({pi.images for pi in window.values()}) != len(weak.ranks):
         return False
-    table = group_table(family, n)
-    shift = n if family == "B" else 0
+    reflections = simple_reflections(family, n)
     mapped = set()
     for src, dst, K in poset.edges:
         coding, seq, pos = _placed(poset.nodes[src].canon)
-        gen = _flip_runs(seq, pos, coding.labels[coding.label_code[K]][1]) - shift
-        if gen not in table.reflections or table.mult(gen, window[src]) != window[dst]:
+        last = _flip_runs(seq, pos, coding.labels[coding.label_code[K]][1])
+        gen = last - (len(coding.ground) - n)
+        if gen not in reflections or reflections[gen].compose(window[src]) != window[dst]:
             return False
         mapped.add((window[src].images, window[dst].images, gen))
     return mapped == weak.edges
@@ -370,10 +348,10 @@ class ReducedWord:
         (g = 0 negates 1 in type B): on the inverse window w^-1 s_g that is
         the swap of slots g and g + 1, or the negation of slot 1.
         """
-        table = group_table(self.family, self.n)
+        reflections = simple_reflections(self.family, self.n)
         inv = list(range(1, self.n + 1))
         for g in self.letters:
-            if g not in table.reflections:
+            if g not in reflections:
                 raise ValueError(f"generator index out of range: {g}")
             if g:
                 inv[g - 1], inv[g] = inv[g], inv[g - 1]
@@ -394,14 +372,15 @@ def chain_to_word(labels, family: str, n: int) -> ReducedWord:
     The replay runs on element codes (orders._coding) from rho_min.  A flip
     reverses each component's run of slots in place (orders._flip_runs) and
     multiplies the permutation on the left by the simple reflection of the
-    last slot moved: slot g in type A, slot n + g in type B, whose slots run
-    -n..-1, 1..n.  The letters are collected in application order.
+    last slot moved, less |ground| - n (slots run 1..n in type A and -n..-1,
+    1..n in type B).  A maximal chain flips each label once.  The letters are
+    collected in application order.
     """
-    expected = {"A": n * (n - 1) // 2, "B": n * n}[family]
-    if len(labels) != expected:
-        raise ChainError(f"chain has {len(labels)} labels, expected {expected}")
     coding = _coding(family, n, 1)
-    least = list(range(2 * n if family == "B" else n))     # rho_min, as codes
+    if len(labels) != len(coding.labels):
+        raise ChainError(f"chain has {len(labels)} labels, expected {len(coding.labels)}")
+    least = list(range(len(coding.ground)))     # rho_min, as codes
+    offset = len(coding.ground) - n
     seq, pos = least[:], least[:]
     letters = []
     for K in labels:
@@ -411,7 +390,7 @@ def chain_to_word(labels, family: str, n: int) -> ReducedWord:
         last = _flip_runs(seq, pos, coding.labels[i][1])
         if last < 0:
             raise ChainError(f"label {K} is not flippable at its step")
-        letters.append(last - n if family == "B" else last)
+        letters.append(last - offset)
     if seq[::-1] != least:
         raise ChainError("chain does not reach the longest element")
     return ReducedWord(family, n, tuple(letters))
@@ -434,18 +413,20 @@ def braid_classify(K) -> str:
 
 def reduced_words_brute(family: str, n: int) -> set[tuple[int, ...]]:
     """All reduced words for the longest element, by length-increasing DFS."""
-    table = group_table(family, n)
+    reflections = simple_reflections(family, n)
+    identity = identity_b(n)
+    longest = longest_b(n) if family == "B" else longest_a(n)
     words: set[tuple[int, ...]] = set()
-    stack = [(table.identity, ())]
-    lengths = {table.identity: 0}
+    stack = [(identity, ())]
+    lengths = {identity: 0}
     while stack:
         w, word = stack.pop()
-        if w == table.longest:
+        if w == longest:
             words.add(word)
             continue
         lw = lengths[w]
-        for g in table.reflections:
-            nxt = table.mult(g, w)
+        for g, s in reflections.items():
+            nxt = s.compose(w)
             ln = lengths.get(nxt)
             if ln is None:
                 ln = lengths[nxt] = weyl_length(nxt)
@@ -462,12 +443,14 @@ def level1_group_bijection_check(n: int) -> tuple[bool, int]:
     return len(perms) == len(orderings) == 2 ** n * math.factorial(n), len(orderings)
 
 
+@lru_cache(maxsize=None)
 def _generator_order(family: str, n: int, a: int, b: int) -> int:
-    """Order of the product of two simple reflections."""
-    table = group_table(family, n)
-    cur, m = table.mult(a, table.mult(b, table.identity)), 1
-    while cur != table.identity:
-        cur, m = table.mult(a, table.mult(b, cur)), m + 1
+    """Order of s_a s_b, found by multiplying the two reflections out."""
+    reflections = simple_reflections(family, n)
+    product = reflections[a].compose(reflections[b])
+    cur, m = product, 1
+    while cur != identity_b(n):
+        cur, m = product.compose(cur), m + 1
     return m
 
 
@@ -529,7 +512,6 @@ def swap_commutation_correspondence(words: dict) -> tuple[bool, int]:
     return True, swaps
 
 
-@lru_cache(maxsize=None)
 def check_root_inversions(n: int) -> bool:
     """Level-2 inversion sets match root inversions of the permutation.
 

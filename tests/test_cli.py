@@ -178,6 +178,12 @@ class TestUsage:
     def test_missing_verb(self):
         assert run_cli().returncode == 2
 
+    def test_dot_format_rejected_for_listings(self):
+        for verb in ("enumerate", "chains"):
+            proc = run_cli(verb, "--family", "B", "--n", "2", "--format", "dot")
+            assert proc.returncode == 2 and proc.stdout == ""
+            assert "invalid choice: 'dot'" in proc.stderr
+
     def test_node_budget_env(self):
         proc = run_cli("poset", "--family", "B", "--n", "3", "--k", "1",
                        "--format", "json")

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from bruhatb import weyl
 from bruhatb.core import normalize_orbit, star
 from bruhatb.orders import (
     TotalOrder,
@@ -34,7 +35,6 @@ from bruhatb.weyl import (
     chain_words,
     check_root_inversions,
     flip_braid_correspondence,
-    group_table,
     identity_b,
     iso_check,
     level1_group_bijection_check,
@@ -46,6 +46,7 @@ from bruhatb.weyl import (
     reduced_words_brute,
     root_of,
     simple_reflection_b,
+    simple_reflections,
     swap_commutation_correspondence,
     weak_order_poset,
     weak_order_poset_a,
@@ -107,6 +108,23 @@ class TestRoots:
     def test_act_sign_flip(self):
         assert act(SignedPermutation((-1, 2)), Root("short", 1)) == \
             Root("short", 1, 0, -1)
+
+    def test_act_is_an_action_on_all_roots(self):
+        roots = positive_roots_b(3)
+        roots += [dataclasses.replace(a, sign=-1) for a in roots]
+        group = all_signed_permutations(3)
+        for p in group:
+            for q in group:
+                pq = p.compose(q)
+                for a in roots:
+                    assert act(pq, a) == act(p, act(q, a)), (p, q, a)
+
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_longest_negates_every_root(self, n):
+        for a in positive_roots_b(n):
+            neg = dataclasses.replace(a, sign=-1)
+            assert act(longest_b(n), a) == neg
+            assert act(longest_b(n), neg) == a
 
     def test_inversions_identity_empty(self):
         assert weyl_inversions(identity_b(3)) == frozenset()
@@ -203,6 +221,11 @@ class TestRootInversionCompatibility:
     def test_exhaustive(self, n):
         assert check_root_inversions(n)
 
+    def test_second_call_checks_again(self, monkeypatch):
+        assert check_root_inversions(2)
+        monkeypatch.setattr(weyl, "root_of", lambda K: Root("short", 1))
+        assert not check_root_inversions(2)
+
 
 class TestChainWords:
     def test_alternating_word_rank2(self):
@@ -231,7 +254,7 @@ class TestChainWords:
     def test_letters_match_group_reference(self, family, n):
         # reference: each letter is the generator g with s_g w = v, for the
         # flips of the element-level reference
-        table = group_table(family, n)
+        reflections = simple_reflections(family, n)
         packets = ref_packets(family, n, 1)
         for labels in maximal_chains(build_poset(family, n, 1)):
             rho = rho_min(family, n, 1)
@@ -240,7 +263,7 @@ class TestChainWords:
             for K in labels:
                 rho = ref_flip(rho, packets[K])
                 v = order_to_perm(rho)
-                (g,) = [g for g in table.reflections if table.mult(g, w) == v]
+                (g,) = [g for g, s in reflections.items() if s.compose(w) == v]
                 expected.append(g)
                 w = v
             assert chain_to_word(labels, family, n).letters == tuple(expected)
@@ -331,17 +354,17 @@ class TestReducedWordOracle:
 
     @pytest.mark.parametrize("family,n", [("B", 3), ("A", 4), ("B", 2)])
     def test_evaluate_matches_group_replay(self, family, n):
-        table = group_table(family, n)
+        reflections = simple_reflections(family, n)
 
         def replay(letters):
-            w = table.identity
+            w = identity_b(n)
             for g in letters:
-                w = table.mult(g, w)
+                w = reflections[g].compose(w)
             return w
 
         chain_words = [chain_to_word(labels, family, n).letters
                        for labels in maximal_chains(build_poset(family, n, 1))]
-        gens = tuple(table.reflections)
+        gens = tuple(reflections)
         others = ([w + w[:1] for w in chain_words] + [w[1:] for w in chain_words]
                   + [(g, g) for g in gens] + [gens * 4, ()])
         reduced = 0
