@@ -47,7 +47,6 @@ chain = maximal_chains(build_poset("B", 2, 1))[0]
 word = chain_to_word(chain, "B", 2)
 print("chain:", " < ".join(format_element(K) for K in chain))
 print("word (applied left to right):", word.as_applied())
-print("word (as a product):", word.as_product())
 print("reduced:", word.is_reduced(), "evaluates to", word.evaluate())
 
 # Chain counts match a brute-force reduced-word search.

@@ -27,7 +27,6 @@ from .core import (
     format_element,
     packet_B,
     parse_element,
-    standard_key,
 )
 
 
@@ -44,13 +43,6 @@ class PosetOverflowError(RuntimeError):
 
 
 DEFAULT_MAX_NODES = 10 ** 6
-
-
-def element_key(e):
-    """Deterministic sort key for ground elements of either family."""
-    if isinstance(e, tuple):
-        return e
-    return standard_key(e)
 
 
 def ground_set(family: str, n: int, k: int) -> list:
@@ -324,7 +316,7 @@ def canonical_form(rho: TotalOrder) -> OrderClass:
 def class_members(rho: TotalOrder) -> list[TotalOrder]:
     """Every member of the commutation class by swap closure (oracles only).
 
-    Sorted by code tuples, which sort like the members' element_key tuples.
+    Sorted by code tuples: lexicographically, in the ground set's standard order.
     """
     coding = _coding(rho.family, rho.n, rho.k)
     start = tuple(coding.code[e] for e in rho.seq)
@@ -449,15 +441,15 @@ def _gc_paused():
 
 
 @_gc_paused()
-def build_poset(family: str, n: int, k: int,
-                max_nodes: int | None = None) -> BruhatPoset:
+def build_poset(family: str, n: int, k: int) -> BruhatPoset:
     """BFS closure of packet flips starting from the minimal class.
 
     Nodes are keyed by canonical form; every edge applies one flip at a label
     outside the inversion set, raising rank by one.  A class is the set of
     linear extensions of its heap, so an edge finds its class by the flipped
     member's below masks, recomputed from the first slot the flip moves; the
-    canonical form is computed once, when the class is new.
+    canonical form is computed once, when the class is new.  The node budget
+    is BRUHAT_MAX_NODES (default DEFAULT_MAX_NODES).
     """
     if family == "A":
         if not (1 <= k <= n):
@@ -468,8 +460,7 @@ def build_poset(family: str, n: int, k: int,
                 f"type B flip poset is defined for k in {{1, 2}}, got k={k}")
     else:
         raise ValueError(f"unknown family {family!r}")
-    if max_nodes is None:
-        max_nodes = int(os.environ.get("BRUHAT_MAX_NODES", DEFAULT_MAX_NODES))
+    max_nodes = int(os.environ.get("BRUHAT_MAX_NODES", DEFAULT_MAX_NODES))
 
     poset = BruhatPoset(family, n, k)
     coding = _coding(family, n, k)
@@ -551,7 +542,8 @@ def maximal_chains(p: BruhatPoset) -> list[tuple]:
     rank = [nd.rank for nd in p.nodes.values()]
     top = next(ids[key] for key, nd in p.nodes.items() if nd.inv == full)
     succ: list[list] = [[] for _ in ids]
-    for s, d, K in sorted(p.edges, key=lambda e: element_key(e[2])):
+    label_code = _coding(p.family, p.n, p.k).label_code
+    for s, d, K in sorted(p.edges, key=lambda e: label_code[e[2]]):
         succ[ids[s]].append((ids[d], K))
     mid = rank[top] // 2
     tails = {top: [()]}
@@ -584,69 +576,65 @@ def maximal_chains(p: BruhatPoset) -> list[tuple]:
 def enumerate_admissible(family: str, n: int, k: int) -> list[TotalOrder]:
     """All admissible orderings of the level-k ground set (admissible_sequences)."""
     coding = _coding(family, n, k)
-    packets = [tuple(codes for codes, _mask in comps) for _K, comps in coding.labels]
     return [TotalOrder(family, n, k, tuple([coding.ground[c] for c in seq]))
-            for seq in admissible_sequences(range(len(coding.ground)), packets)]
+            for seq in admissible_sequences(range(len(coding.ground)),
+                                            [comps for _K, comps in coding.labels])]
 
 
 @_gc_paused()
 def admissible_sequences(ground, packets) -> list[tuple]:
-    """Orderings of ground that keep each packet in packet order or reversed.
+    """Orderings of the codes in ground that keep each packet in packet order
+    or reversed.
 
-    packets lists each packet's component chains.  Backtracking over
-    packet-chain prefixes: in such an ordering the placed elements of every
+    packets lists each packet's components as (chain of codes, mask) pairs,
+    as _Coding.labels does, on codes of ground only.  Backtracking over
+    packet-chain prefixes: in such an ordering the placed codes of every
     component form a prefix of the component in the packet's orientation,
-    and the first element placed from a packet (an end of its component)
-    fixes that orientation.  So an element is placed only when it comes next
-    along every component holding it; this cuts exactly the branches that
-    have no completion.  Orderings come out in backtracking order over the
-    listing of ground.
+    and the first code placed from a packet (an end of its component) fixes
+    that orientation.  So a code is placed only when it comes next along
+    every component holding it; this cuts exactly the branches that have no
+    completion.  The state is the mask of placed codes and the orientation
+    of each started packet.  Orderings come out in backtracking order over
+    the listing of ground.
     """
-    # per element: (packet id, component id, index from the front, from the back)
-    steps: dict = {e: [] for e in ground}
-    components = 0
-    for pid, chains in enumerate(packets):
-        for chain in chains:
-            for i, e in enumerate(chain):
-                steps[e].append((pid, components, i, len(chain) - 1 - i))
-            components += 1
-    done = [0] * components      # placed elements per component
-    orient: dict = {}            # packet id -> True when in packet order
+    full = sum(1 << c for c in ground)
+    # per code: (packet id, component mask, mask of the codes before it, after it)
+    steps: list[list] = [[] for _ in range(full.bit_length())]
+    for pid, comps in enumerate(packets):
+        for codes, mask in comps:
+            if mask & ~full:
+                raise ValueError(f"packet {pid} holds codes outside ground")
+            before = 0
+            for c in codes:
+                steps[c].append((pid, mask, before, mask & ~before & ~(1 << c)))
+                before |= 1 << c
+    forward: list = [None] * len(packets)   # per packet: True when in packet order
     out = []
-    placed: list = []
-    placed_set: set = set()
+    seq: list = []
 
-    def extend():
-        if len(placed) == len(ground):
-            out.append(tuple(placed))
+    def extend(placed):
+        if placed == full:
+            out.append(tuple(seq))
             return
-        for e in ground:
-            if e in placed_set:
+        for c in ground:
+            if placed >> c & 1:
                 continue
             fixed = []
-            ok = True
-            for pid, c, front, back in steps[e]:
-                forward = orient.get(pid)
-                if forward is None:     # fixed by an end; a middle fails below
-                    forward = orient[pid] = not front
+            for pid, mask, before, after in steps[c]:
+                fwd = forward[pid]
+                if fwd is None:     # fixed by an end; a middle fails below
+                    fwd = forward[pid] = not before
                     fixed.append(pid)
-                if done[c] != (front if forward else back):
-                    ok = False
+                if placed & mask != (before if fwd else after):
                     break
-            if ok:
-                placed.append(e)
-                placed_set.add(e)
-                for _pid, c, _front, _back in steps[e]:
-                    done[c] += 1
-                extend()
-                for _pid, c, _front, _back in steps[e]:
-                    done[c] -= 1
-                placed.pop()
-                placed_set.remove(e)
+            else:
+                seq.append(c)
+                extend(placed | 1 << c)
+                seq.pop()
             for pid in fixed:
-                del orient[pid]
+                forward[pid] = None
 
-    extend()
+    extend(0)
     del extend      # break the cycle extend -> its closure -> extend, which holds out
     return out
 
@@ -679,8 +667,8 @@ def _chains_biject(p: BruhatPoset, chains: list[tuple]) -> bool:
     """
     coding = _coding(p.family, p.n, p.k)
     upper = _coding(p.family, p.n, p.k + 1).labels if coding.labels else ()
-    packets = [tuple(codes for codes, _mask in comps) for _K, comps in upper]
-    left = set(admissible_sequences(range(len(coding.labels)), packets))
+    left = set(admissible_sequences(range(len(coding.labels)),
+                                    [comps for _K, comps in upper]))
     for chain in chains:    # each chain takes its own ordering, and only once
         try:
             left.remove(tuple([coding.label_code.get(K, -1) for K in chain]))

@@ -4,12 +4,13 @@ Everything here is desk-scale verification: a linear scan that decides
 whether two elements can exchange their relative order inside a commutation
 class, blocking and pattern tests decided on the class's dependence order,
 and a witness search that certifies the seven obstruction patterns arising
-when a level-3 flip is blocked.  Each obstruction case enumerates the
-admissible orderings of its ambient double packet (the orderings that keep
-every packet of the ambient level-4 element in packet order or reversed)
-with orders.admissible_sequences, the backtracker behind
-enumerate_admissible.  Oracles that enumerate the class by swaps
-(crosses_oracle, blocks_oracle, class_flip_candidates_oracle) live alongside.
+when a level-3 flip is blocked.  Each obstruction case runs on the codes
+of the one packet table, orders._coding: it enumerates the admissible
+orderings of its ambient double packet (the orderings that keep every packet
+of the ambient level-4 element in packet order or reversed) with
+orders.admissible_sequences, the backtracker behind enumerate_admissible.
+Oracles that enumerate the class by swaps (crosses_oracle, blocks_oracle,
+class_flip_candidates_oracle) live alongside.
 """
 
 from __future__ import annotations
@@ -20,12 +21,10 @@ from dataclasses import dataclass
 
 from .core import (
     BElem,
-    _level_elements,
     enumerate_B,
     format_element,
     normalize_orbit,
     packet_B,
-    standard_key,
     star,
 )
 from .orders import (
@@ -316,43 +315,44 @@ class CaseReport:
         }
 
 
-def _ambient_for_case(case: CaseSpec):
-    """The unique level-4 element whose double packet contains the case."""
-    hits = []
-    for R in _level_elements(case.n, 4):
-        T: set = set()
-        for S in packet_B(R).elements:
-            T |= packet_B(S).elements
-        if set(case.seq) <= T:
-            hits.append((R, T))
-    if len(hits) != 1:
-        raise ValueError(f"case does not single out one ambient element: {hits}")
-    return hits[0]
-
-
 def case_report(case: CaseSpec) -> CaseReport:
-    """Witness search certifying one obstruction pattern.
+    """Witness search certifying one obstruction pattern, on level-2 codes.
 
-    Two elements of the case sequence that share a member packet of the
-    ambient element are a pinned pair.  List the admissible orderings of the
-    ambient double packet (each member packet in packet order or reversed)
-    that keep every pinned pair in the case's order, and demand that each
-    exhibit a packet in standard order that either starts strictly above the
-    blocked packet without crossing it at the bottom, or starts level with it
-    and ends strictly inside without crossing at the top.  The packets
-    holding no pinned pair are open: `orientations` counts their
-    orientations, `acyclic` those that some listed ordering realises, and
-    `extensions` the listed orderings.
+    The ambient is the one label of _coding("B", n, 3) whose member packets
+    cover the case.  Its chain's codes are label indices of _coding("B", n,
+    2), whose packets are the member packets; the double packet is the union
+    of their masks.  Two elements of the case sequence that share a member
+    packet are a pinned pair.  List the admissible orderings of the double
+    packet (each member packet in packet order or reversed) that keep every
+    pinned pair in the case's order, and demand that each exhibit a packet in
+    standard order that either starts strictly above the blocked packet
+    without crossing it at the bottom, or starts level with it and ends
+    strictly inside without crossing at the top.  The packets holding no
+    pinned pair are open: `orientations` counts their orientations,
+    `acyclic` those that some listed ordering realises, and `extensions` the
+    listed orderings.
     """
-    R, T = _ambient_for_case(case)
-    members = sorted(packet_B(R).elements, key=standard_key)
-    chains = {S: packet_B(S).components[0] for S in members}
+    coding = _coding("B", case.n, 2)
+    seq = [coding.code_of(e) for e in case.seq]
+    want = sum(1 << c for c in seq)
+    hits = []
+    for R, ((chain, _mask),) in _coding("B", case.n, 3).labels:
+        members = {i: coding.labels[i][1][0] for i in chain}   # (codes, mask)
+        double = 0
+        for _codes, mask in members.values():
+            double |= mask
+        if not want & ~double:
+            hits.append((R, members, double))
+    if len(hits) != 1:
+        raise ValueError("case does not single out one ambient element: "
+                         f"{[format_element(R) for R, *_ in hits]}")
+    _R, members, double = hits[0]
 
     pinned = []
     closed = set()
-    for q1, q2 in itertools.combinations(case.seq, 2):
-        hosts = [S for S in members
-                 if q1 in chains[S] and q2 in chains[S]]
+    for q1, q2 in itertools.combinations(seq, 2):
+        pair = 1 << q1 | 1 << q2
+        hosts = [i for i, (_codes, mask) in members.items() if mask & pair == pair]
         if not hosts:
             continue
         if len(hosts) > 1:
@@ -360,36 +360,35 @@ def case_report(case: CaseSpec) -> CaseReport:
         pinned.append((q1, q2))
         closed.add(hosts[0])
 
-    open_chains = [chains[S] for S in members if S not in closed]
-    coding = _coding("B", case.n, 2)
-    K_chain = chains[case.K]
+    open_chains = [codes for i, (codes, _mask) in members.items() if i not in closed]
+    K_chain = members[coding.label_code[case.K]][0]
     report = CaseReport(case, True, orientations=2 ** len(open_chains))
     realised = set()
-    ground = sorted(T, key=standard_key)
-    for ext in admissible_sequences(ground, [(chains[S],) for S in members]):
-        pos = {e: i for i, e in enumerate(ext)}
+    ground = [c for c in range(len(coding.ground)) if double >> c & 1]
+    for ext in admissible_sequences(ground, [(m,) for m in members.values()]):
+        pos = {c: i for i, c in enumerate(ext)}
         if any(pos[q1] > pos[q2] for q1, q2 in pinned):
             continue
         report.extensions += 1
         realised.add(tuple(pos[c[0]] < pos[c[1]] for c in open_chains))
-        if not _extension_has_witness(ext, members, chains, K_chain, coding):
+        if not _extension_has_witness(ext, pos, members.values(), K_chain,
+                                      coding.partners):
             report.ok = False
-            report.failure = ext
+            report.failure = tuple(coding.ground[c] for c in ext)
             break
     report.acyclic = len(realised)
     return report
 
 
-def _extension_has_witness(ext, members, chains, K_chain, coding) -> bool:
-    pos = {e: i for i, e in enumerate(ext)}
-    seq, code = [coding.code[e] for e in ext], coding.code
-    crossed = lambda u, v: crosses_in_seq(seq, code[u], code[v], coding.partners)
-    k_ps = [pos[e] for e in K_chain]
+def _extension_has_witness(ext, pos, packets, K_chain, partners) -> bool:
+    """case_report's witness test on an ordering ext of codes, pos[c] the
+    slot of c, over the member packets' (chain, mask) pairs."""
+    crossed = lambda u, v: crosses_in_seq(ext, u, v, partners)
+    k_ps = [pos[c] for c in K_chain]
     minK = ext[min(k_ps)]
     maxK = ext[max(k_ps)]
-    for S in members:
-        chain = chains[S]
-        ps = [pos[e] for e in chain]
+    for chain, _mask in packets:
+        ps = [pos[c] for c in chain]
         if ps != sorted(ps):
             continue  # not in standard order here
         minP, maxP = chain[0], chain[-1]

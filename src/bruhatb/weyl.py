@@ -362,9 +362,6 @@ class ReducedWord:
     def as_applied(self) -> str:
         return " ".join(f"s{g}" for g in self.letters)
 
-    def as_product(self) -> str:
-        return " ".join(f"s{g}" for g in reversed(self.letters))
-
 
 def chain_to_word(labels, family: str, n: int) -> ReducedWord:
     """Replay a maximal chain's flip labels into a reduced word.

@@ -15,6 +15,7 @@ from bruhatb.core import (
     normalize_orbit,
     packet_A,
     packet_B,
+    standard_key,
     star,
 )
 from bruhatb.orders import (
@@ -32,7 +33,6 @@ from bruhatb.orders import (
     class_members,
     commutes,
     dependence_order,
-    element_key,
     enumerate_admissible,
     flip_candidates,
     inv_injectivity_check,
@@ -432,20 +432,21 @@ class TestEnumerateAdmissible:
         assert got == expected
 
     def test_sequences_match_permutation_filter(self):
-        # a ground and packets of no family: one packet of two components
-        ground = ("a", "b", "c", "d", "e")
-        packets = [(("a", "b", "c"),), (("c", "d"), ("b", "e"))]
-        got = admissible_sequences(ground, packets)
+        # codes of no family: a 3-chain packet and one packet of two components
+        chains = [((0, 1, 2),), ((2, 3), (1, 4))]
+        packets = [tuple((c, sum(1 << e for e in c)) for c in comps)
+                   for comps in chains]
+        got = admissible_sequences(range(5), packets)
         expected = []
-        for perm in itertools.permutations(ground):
+        for perm in itertools.permutations(range(5)):
             pos = {e: i for i, e in enumerate(perm)}
-            if all(len({pos[u] < pos[v] for chain in chains
+            if all(len({pos[u] < pos[v] for chain in comps
                         for u, v in zip(chain, chain[1:])}) == 1
-                   for chains in packets):
+                   for comps in chains):
                 expected.append(perm)
         # orientations (fwd, fwd) 3, (fwd, rev) 8, (rev, fwd) 8, (rev, rev) 3
         assert len(got) == len(set(got)) == 22
-        assert set(got) == set(expected)
+        assert got == expected      # listed in backtracking order over range(5)
 
     def test_counts(self):
         assert len(enumerate_admissible("B", 2, 2)) == 2
@@ -493,17 +494,19 @@ class TestBuildPoset:
         with pytest.raises(ValueError):
             build_poset("A", 3, 4)
 
-    def test_node_budget(self):
+    def test_node_budget(self, monkeypatch):
         from bruhatb.orders import PosetOverflowError
+        monkeypatch.setenv("BRUHAT_MAX_NODES", "10")
         with pytest.raises(PosetOverflowError):
-            build_poset("B", 3, 1, max_nodes=10)
+            build_poset("B", 3, 1)
 
-    def test_node_budget_names_rank(self):
+    def test_node_budget_names_rank(self, monkeypatch):
         from bruhatb.orders import PosetOverflowError
         # the BFS meets classes in rank order, and ranks 0-2 of B(4,2) hold
         # 1 + 3 + 6 = 10 classes, so the 11th is at rank 3
+        monkeypatch.setenv("BRUHAT_MAX_NODES", "10")
         with pytest.raises(PosetOverflowError, match=r"exceeded 10 nodes .* at rank 3$"):
-            build_poset("B", 4, 2, max_nodes=10)
+            build_poset("B", 4, 2)
 
 
 class TestExtremaAndChains:
@@ -540,13 +543,15 @@ class TestExtremaAndChains:
         for s, d, K in p.edges:
             out_edges.setdefault(s, []).append((K, d))
         top = max(p.nodes, key=lambda key: p.nodes[key].rank)
+        # labels in standard order: type A subsets lexicographically
+        label_key = (lambda K: K) if family == "A" else standard_key
 
         def paths(key):
             if key == top:
                 return [()]
             return [(K,) + rest
                     for K, d in sorted(out_edges.get(key, []),
-                                       key=lambda e: element_key(e[0]))
+                                       key=lambda e: label_key(e[0]))
                     for rest in paths(d)]
 
         assert maximal_chains(p) == paths(p.min_key)
@@ -626,7 +631,8 @@ class TestGcPause:
         "build_poset": lambda: build_poset("B", 2, 2),
         "maximal_chains": lambda: maximal_chains(build_poset("B", 2, 1)),
         "enumerate_admissible": lambda: enumerate_admissible("B", 2, 2),
-        "admissible_sequences": lambda: admissible_sequences("abc", [(tuple("abc"),)]),
+        "admissible_sequences": lambda: admissible_sequences(
+            range(3), [(((0, 1, 2), 0b111),)]),
         "chains_bijection_check": lambda: chains_bijection_check(build_poset("B", 2, 2)),
     }
     # a callee inside each paused block, patched to raise
@@ -655,14 +661,14 @@ class TestGcPause:
         from bruhatb import orders
         callee = self.CALLEES[call]
         if callee is None:      # nothing to patch: a packet member outside ground raises
-            run = lambda: admissible_sequences("ab", [(tuple("abz"),)])
+            run = lambda: admissible_sequences(range(2), [(((0, 1, 2), 0b111),)])
         else:
             def boom(*args, **kwargs):
                 raise RuntimeError("callee failed")
             monkeypatch.setattr(orders, callee, boom)
             run = self.CALLS[call]
         gc.enable()
-        with pytest.raises((RuntimeError, KeyError)):
+        with pytest.raises((RuntimeError, ValueError)):
             run()
         assert gc.isenabled()
 

@@ -23,6 +23,7 @@ from bruhatb.orders import (
 )
 from bruhatb.verify import (
     CASE_IDS,
+    CaseSpec,
     _case_triple,
     blocking_agreement,
     blocks,
@@ -41,6 +42,7 @@ from bruhatb.verify import (
     make_case,
     minimal_chain,
     nonmaximal_has_flip,
+    obstruction_case_suite,
     run_suite,
     standard_cases,
 )
@@ -369,6 +371,24 @@ class TestObstructionCases:
     def test_negative_control_is_vacuous(self):
         rep = case_report(falsified_case())
         assert rep.ok and rep.extensions == 0 and rep.acyclic == 0
+
+    def test_rank4_cases_keep_the_rank3_ambient(self):
+        # at rank 3 the one level-4 element, [3,2,1,*], covers the whole
+        # ground; at rank 4 it is still the only one covering each case, so
+        # every case lists the same orderings
+        def counts(reports):
+            return [(r["params"]["case"], r.get("orientations"), r.get("acyclic"),
+                     r["extensions"], r["result"]) for r in reports]
+        rank4 = obstruction_case_suite(4)
+        assert [r["params"]["n"] for r in rank4] == [4] * 8
+        assert counts(rank4) == counts(obstruction_case_suite(3))
+
+    def test_case_covered_by_several_ambients_rejected(self):
+        # the double packets of [-4,-3,-2,-1] and [-4,-3,2,1] both hold the case
+        seq = (normalize_orbit((-2, -1)), normalize_orbit((-4, -3)))
+        case = CaseSpec("orbit1", 4, normalize_orbit((-3, -2, -1)), 2, seq)
+        with pytest.raises(ValueError, match="^case does not single out one ambient element"):
+            case_report(case)
 
     def test_invalid_instantiation_rejected(self):
         with pytest.raises(ValueError):

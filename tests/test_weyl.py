@@ -233,7 +233,6 @@ class TestChainWords:
         word = chain_to_word(chains[0], "B", 2)
         assert word.letters == (1, 0, 1, 0)
         assert word.as_applied() == "s1 s0 s1 s0"
-        assert word.as_product() == "s0 s1 s0 s1"
         assert word.is_reduced()
         assert word.evaluate() == longest_b(2)
 
