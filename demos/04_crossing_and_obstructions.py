@@ -16,7 +16,6 @@ from bruhatb import (
     classify_blocked_flip,
     crosses,
     enumerate_admissible,
-    flip_candidate_by_blocking,
     format_element,
     minimal_chain,
     normalize_orbit,
@@ -37,15 +36,17 @@ print("[-3,-2] x [-3,-1]:",
       crosses(base, normalize_orbit((-3, -2)), normalize_orbit((-3, -1))))
 
 # A flip at K is available somewhere in the class exactly when no element
-# is trapped inside the interval spanned by K's packet in every member.
-# Both sides are decided on the class's dependence order, without listing
+# is trapped inside the interval spanned by a component of K's packet in
+# every member: no element lies strictly between two elements of one
+# component in the dependence order.  class_flip_candidates, the test that
+# build_poset runs, decides this on the dependence order, without listing
 # the members.
 K = normalize_orbit((-3, 2, 1))
 S = packet_B(K).elements
 print("interval around P_B([-3,2,1]):",
       [format_element(e) for e in minimal_chain(base, S)])
 print("[3,*] blocks it:", blocks(base, star((3,)), S))
-print("flip available:", flip_candidate_by_blocking(base, K))
+print("flip available:", K in class_flip_candidates(canonical_form(base)))
 
 # When a flip is blocked and not yet inverted, one of seven sandwich
 # patterns holds across the whole class.

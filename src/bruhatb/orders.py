@@ -97,9 +97,9 @@ class _Coding(NamedTuple):
 
     def code_of(self, e) -> int:
         """The code of e; ValueError naming e when e is not in the ground set."""
-        if e not in self.code:
+        if (c := self.code.get(e)) is None:
             raise ValueError(f"{e!r} is not in the ground set")
-        return self.code[e]
+        return c
 
 
 @lru_cache(maxsize=None)
@@ -337,10 +337,11 @@ def class_members(rho: TotalOrder) -> list[TotalOrder]:
 def class_flip_candidates(r: OrderClass) -> frozenset:
     """Labels flippable in some member of the commutation class.
 
-    K qualifies when no element lies strictly between two elements of one
-    component of K's packet in the dependence order (_flip_span builds the
-    member).  Several components occur only at type B level 1, where the
-    class is one ordering, so the components are tested one at a time.
+    Per-component blocking: K qualifies when no element lies strictly
+    between two elements of one component of K's packet in the dependence
+    order (_flip_span builds the member).  Several components occur only at
+    type B level 1, where the class is one ordering, so the components are
+    tested one at a time.
     """
     coding, seq, _pos = _placed(r.canon)
     flips = _class_flips(coding.labels, _down(coding.partners, seq),
@@ -350,9 +351,9 @@ def class_flip_candidates(r: OrderClass) -> frozenset:
 
 def _class_flips(labels: tuple, below: list[int], above: list[int],
                  skip: int = 0) -> list[int]:
-    """Indices into labels of class_flip_candidates, given the class's heap:
-    no component's united up-sets and down-sets may meet outside it.  Labels
-    whose bit is set in skip are not tested."""
+    """Indices into labels of class_flip_candidates, given the class's heap: a
+    component is blocked when its united up-sets and down-sets meet outside
+    it.  Labels whose bit is set in skip are not tested."""
     out = []
     for i, (_K, comps) in enumerate(labels):
         if skip >> i & 1:

@@ -10,7 +10,10 @@ orderings of its ambient double packet (the orderings that keep every packet
 of the ambient level-4 element in packet order or reversed) with
 orders.admissible_sequences, the backtracker behind enumerate_admissible.
 Oracles that enumerate the class by swaps (crosses_oracle, blocks_oracle,
-class_flip_candidates_oracle) live alongside.
+class_flip_candidates_oracle) live alongside: blocking_agreement certifies
+the one class-flip test, orders.class_flip_candidates, which build_poset runs
+(no element blocks a component of the packet).  An element outside rho's
+ground set, or a K outside its level-3 labels, raises a ValueError naming it.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from .orders import (
     OrderClass,
     TotalOrder,
     _coding,
+    _placed,
     admissible_sequences,
     canonical_form,
     class_flip_candidates,
@@ -52,10 +56,10 @@ class ClassifyError(RuntimeError):
 
 def minimal_chain(rho: TotalOrder, S) -> tuple:
     """The contiguous interval of rho spanning the elements of S."""
-    S = set(S)
-    if not S:
+    coding, _seq, pos = _placed(rho)
+    ps = sorted(pos[coding.code_of(e)] for e in S)
+    if not ps:
         raise ValueError("minimal chain of an empty set")
-    ps = sorted(rho.positions[e] for e in S)
     return rho.seq[ps[0]:ps[-1] + 1]
 
 
@@ -111,37 +115,34 @@ def blocks(rho: TotalOrder, x, S) -> bool:
     down-set of x first (or its up-set last), the rest in rho's order, gives
     a class member with x outside the interval.
     """
-    S = set(S)
-    if x in S:
-        raise ValueError("a blocking element must lie outside S")
-    code = _coding(rho.family, rho.n, rho.k).code
-    return _blocks(dependence_order(rho), code, x, S)
+    i, S = _outside(rho, x, S, "a blocking element must lie outside S")
+    return _blocks(dependence_order(rho), i, S)
 
 
-def _blocks(below: list[int], code: dict, x, S) -> bool:
-    """blocks, given rho's dependence order and the code map."""
-    i = code[x]
-    return (any(below[i] >> code[s] & 1 for s in S)
-            and any(below[code[s]] >> i & 1 for s in S))
+def _outside(rho: TotalOrder, x, S, message: str) -> tuple[int, set]:
+    """The codes of x and of S's elements; message when x lies in S."""
+    code_of = _coding(rho.family, rho.n, rho.k).code_of
+    i, S = code_of(x), {code_of(s) for s in S}
+    if i in S:
+        raise ValueError(message)
+    return i, S
+
+
+def _blocks(below: list[int], i: int, S) -> bool:
+    """blocks on the codes i and S, given rho's dependence order."""
+    return (any(below[i] >> s & 1 for s in S)
+            and any(below[s] >> i & 1 for s in S))
 
 
 def blocks_oracle(rho: TotalOrder, x, S) -> bool:
     """Class-enumeration ground truth for blocks."""
     S = set(S)
-    if x in S:
-        raise ValueError("a blocking element must lie outside S")
+    _outside(rho, x, S, "a blocking element must lie outside S")
     for member in class_members(rho):
         ps = [member.positions[e] for e in S]
         if not min(ps) <= member.positions[x] <= max(ps):
             return False
     return True
-
-
-def flip_candidate_by_blocking(rho: TotalOrder, K) -> bool:
-    """Class flip candidacy decided by absence of blocking elements."""
-    S = packet_B(K).elements
-    below, code = dependence_order(rho), _coding(rho.family, rho.n, rho.k).code
-    return not any(_blocks(below, code, x, S) for x in rho.seq if x not in S)
 
 
 def interval_escape_witness(rho: TotalOrder, S, x) -> TotalOrder:
@@ -152,28 +153,26 @@ def interval_escape_witness(rho: TotalOrder, S, x) -> TotalOrder:
     and its up-set last, everything else in rho's order.  Requires that x
     does not block S.
     """
-    S = set(S)
-    if x in S:
-        raise ValueError("x must lie outside S")
-    below, code = dependence_order(rho), _coding(rho.family, rho.n, rho.k).code
-    if _blocks(below, code, x, S):
+    i, S = _outside(rho, x, S, "x must lie outside S")
+    below = dependence_order(rho)
+    if _blocks(below, i, S):
         raise ValueError("x blocks S; no escape exists")
-    return _escape(rho, below, code, S, x)
+    return _escape(rho, below, S, i)
 
 
-def _escape(rho: TotalOrder, below: list[int], code: dict, S, x) -> TotalOrder:
-    """interval_escape_witness past its checks (a stable sort of rho.seq)."""
-    pos = rho.positions
+def _escape(rho: TotalOrder, below: list[int], S, i: int) -> TotalOrder:
+    """interval_escape_witness past its checks, on codes: a stable sort of rho's."""
+    coding, seq, pos = _placed(rho)
     ps = [pos[s] for s in S]
-    if not min(ps) < pos[x] < max(ps):
+    if not min(ps) < pos[i] < max(ps):
         return rho
-    i = code[x]
-    if any(below[i] >> code[s] & 1 for s in S):     # x and its up-set go last
-        last = lambda e: code[e] == i or below[code[e]] >> i & 1
-    else:                                           # x and its down-set go first
+    if any(below[i] >> s & 1 for s in S):       # x and its up-set go last
+        last = lambda c: c == i or below[c] >> i & 1
+    else:                                       # x and its down-set go first
         down = below[i] | 1 << i
-        last = lambda e: not down >> code[e] & 1
-    return TotalOrder(rho.family, rho.n, rho.k, tuple(sorted(rho.seq, key=last)))
+        last = lambda c: not down >> c & 1
+    return TotalOrder(rho.family, rho.n, rho.k,
+                      tuple([coding.ground[c] for c in sorted(seq, key=last)]))
 
 
 # ---------------------------------------------------------------------------
@@ -407,6 +406,8 @@ def classify_blocked_flip(rho: TotalOrder, K):
     """
     if rho.family != "B" or rho.k != 2:
         raise ValueError("classification applies to type B level-2 orderings")
+    if K not in _coding("B", rho.n, 2).label_code:
+        raise ValueError(f"{format_element(K)} is not a level-3 element")
     if K in class_flip_candidates(canonical_form(rho)) or K in inversion_set(rho):
         raise ValueError("flip at K is available or already inverted")
     return _match_pattern(rho, dependence_order(rho), K)
@@ -474,12 +475,13 @@ def crossing_agreement(n: int, k: int) -> dict:
 
 
 def blocking_agreement(n: int) -> dict:
-    """Blocking-based flip candidacy vs class enumeration, all (rho, K)."""
+    """class_flip_candidates (build_poset's test) vs class enumeration, all (rho, K)."""
     return _exhaustive("blocking-vs-class-enumeration", {"n": n, "k": 2}, (
-        None if flip_candidate_by_blocking(rho, K) == (K in direct)
+        None if (K in fast) == (K in direct)
         else {"rho": str(rho), "K": format_element(K)}
         for rho in enumerate_admissible("B", n, 2)
-        for direct in (class_flip_candidates_oracle(rho),)
+        for fast, direct in ((class_flip_candidates(canonical_form(rho)),
+                              class_flip_candidates_oracle(rho)),)
         for K in enumerate_B(n, 3)))
 
 
@@ -505,15 +507,16 @@ def escape_witness_agreement(n: int) -> dict:
     """Every escape from a packet interval stays in the class and drops x."""
     def verdicts():
         for rho in enumerate_admissible("B", n, 2):
-            below, code = dependence_order(rho), _coding(rho.family, rho.n, rho.k).code
-            canon = canonical_form(rho).canon
+            coding, seq, _pos = _placed(rho)
+            below, canon = dependence_order(rho), canonical_form(rho).canon
             for K in enumerate_B(n, 3):
                 S = packet_B(K).elements
+                codes = {coding.code[s] for s in S}
                 interval = set(minimal_chain(rho, S))
-                for x in rho.seq:
-                    if x in S or _blocks(below, code, x, S):
+                for i, x in zip(seq, rho.seq):
+                    if i in codes or _blocks(below, i, codes):
                         continue
-                    w = _escape(rho, below, code, S, x)
+                    w = _escape(rho, below, codes, i)
                     inside = set(minimal_chain(w, S))
                     yield (None if x not in inside and inside <= interval
                            and (w is rho or canonical_form(w).canon == canon)
@@ -535,14 +538,8 @@ def obstruction_case_suite(n: int = 3) -> list[dict]:
     return out
 
 
-def nonmaximal_has_flip(n: int) -> dict:
-    """Below the top class there is always an uninverted flip candidate."""
-    from .orders import build_poset
-    return _nonmaximal_has_flip(build_poset("B", n, 2))
-
-
-def _nonmaximal_has_flip(p) -> dict:
-    """nonmaximal_has_flip on the already built build_poset("B", n, 2)."""
+def nonmaximal_has_flip(p) -> dict:
+    """Each class of p = build_poset("B", n, 2) but the top has an uninverted flip."""
     full = p.full_inv
     stuck = [nd.canon for nd in p.nodes.values() if nd.inv != full
              and not class_flip_candidates(OrderClass(nd.canon)) - nd.inv]
@@ -630,7 +627,7 @@ def _suite_tasks(name: str, n: int):
         for nn in range(2, n + 1):
             tasks.append(poset_checks("B", nn, 2))
             tasks.append(lambda nn=nn: blocking_agreement(nn))
-            tasks.append(lambda nn=nn: _nonmaximal_has_flip(poset("B", nn, 2)))
+            tasks.append(lambda nn=nn: nonmaximal_has_flip(poset("B", nn, 2)))
     if name in ("weyl", "all"):
         for nn in range(2, n + 1):
             tasks.append(lambda nn=nn: _report(
@@ -638,7 +635,8 @@ def _suite_tasks(name: str, n: int):
                 weyl.check_root_inversions(nn)))
             tasks.append(lambda nn=nn: _report(
                 "chain-words-reduced", {"n": nn},
-                all(w.is_reduced() and w.evaluate() == weyl.longest_b(nn)
+                bool(words(nn)) and all(
+                    w.is_reduced() and w.evaluate() == weyl.longest_b(nn)
                     for w in words(nn).values())))
             tasks.append(lambda nn=nn: _counted(
                 "level1-group-bijection", nn, weyl.level1_group_bijection_check(nn)))

@@ -514,13 +514,14 @@ def check_root_inversions(n: int) -> bool:
 
     For every admissible level-1 ordering and every level-2 element K, K lies
     in the inversion set exactly when the permutation sends K's root out of
-    the positive system.
+    the positive system.  False when there is no ordering to test.
     """
-    for rho in enumerate_admissible("B", n, 1):
+    orderings = enumerate_admissible("B", n, 1)
+    for rho in orderings:
         pi = order_to_perm(rho)
         inv = inversion_set(rho)
         for K in enumerate_B(n, 2):
             if (K in inv) != (not act(pi, root_of(K)).positive):
                 return False
-    return True
+    return bool(orderings)
 

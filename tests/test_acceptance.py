@@ -15,6 +15,7 @@ from bruhatb.orders import (
     build_poset,
     canonical_form,
     chains_bijection_check,
+    class_flip_candidates,
     check_extrema,
     enumerate_admissible,
     flip_candidates,
@@ -29,7 +30,6 @@ from bruhatb.verify import (
     class_flip_candidates_oracle,
     crossing_agreement,
     falsified_case,
-    flip_candidate_by_blocking,
     standard_cases,
 )
 from bruhatb.weyl import (
@@ -100,12 +100,10 @@ def test_criterion_3_type_b_level2_extrema():
         classes = {canonical_form(t).canon.seq
                    for t in enumerate_admissible("B", n, 2)}
         assert len(classes) == len(p.nodes)
-        # independent route: blocking-based flip candidacy per class
+        # the flip test build_poset runs against class enumeration, per class
         for node in p.nodes.values():
             direct = class_flip_candidates_oracle(node.canon)
-            blocking = {K for K in enumerate_B(n, 3)
-                        if flip_candidate_by_blocking(node.canon, K)}
-            assert blocking == direct
+            assert class_flip_candidates(canonical_form(node.canon)) == direct
     assert recorded[2] == (2, 1)
     assert recorded[3] == (14, 2)
     elapsed = time.monotonic() - start

@@ -1,16 +1,25 @@
 """The command-line front end stays a thin adapter over the library."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
+import bruhatb
 from bruhatb.cli import main
 from bruhatb.orders import build_poset, poset_comparable, poset_from_json_obj
 
+# the directory the imported package lives in, first on the child's path, so
+# that the child runs the same checkout as this process
+SRC = str(Path(bruhatb.__file__).resolve().parent.parent)
 
-def run_cli(*args):
+
+def run_cli(*args, **env):
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-m", "bruhatb", *args],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path, **env))
 
 
 class TestEnumerate:
@@ -188,11 +197,7 @@ class TestUsage:
         proc = run_cli("poset", "--family", "B", "--n", "3", "--k", "1",
                        "--format", "json")
         assert proc.returncode == 0
-        import os
-        env = dict(os.environ, BRUHAT_MAX_NODES="5")
-        proc = subprocess.run(
-            [sys.executable, "-m", "bruhatb", "poset", "--family", "B",
-             "--n", "3", "--k", "1"],
-            capture_output=True, text=True, env=env)
+        proc = run_cli("poset", "--family", "B", "--n", "3", "--k", "1",
+                       BRUHAT_MAX_NODES="5")
         assert proc.returncode == 2
         assert "BRUHAT_MAX_NODES" in proc.stderr

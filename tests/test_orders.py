@@ -4,7 +4,7 @@ import gc
 import hashlib
 import itertools
 import json
-from math import factorial
+from math import factorial, prod
 
 import pytest
 
@@ -530,6 +530,24 @@ class TestExtremaAndChains:
 
     def test_two_chains_a31(self):
         assert len(maximal_chains(build_poset("A", 3, 1))) == 2
+
+    # The maximal chains of A(n,1) and B(n,1) are the reduced words of the
+    # longest element, which the hook-length formula counts as standard Young
+    # tableaux: of the staircase (n-1, ..., 1) for S_n (Stanley, European J.
+    # Combin. 5, 1984) and of the n x n square for B_n (Haiman, Discrete
+    # Math. 99, 1992).
+    LEVEL1_CHAINS = {("A", 3): 2, ("A", 4): 16, ("A", 5): 768, ("A", 6): 292864,
+                     ("B", 2): 2, ("B", 3): 42, ("B", 4): 24024}
+
+    @pytest.mark.parametrize("family,n", list(LEVEL1_CHAINS))
+    def test_level1_chains_count_standard_tableaux(self, family, n):
+        shape = list(range(n - 1, 0, -1)) if family == "A" else [n] * n
+        cols = [sum(1 for row in shape if row > j) for j in range(shape[0])]
+        hooks = prod(shape[i] - j + cols[j] - i - 1
+                     for i in range(len(shape)) for j in range(shape[i]))
+        expected = self.LEVEL1_CHAINS[family, n]
+        assert factorial(sum(shape)) // hooks == expected
+        assert len(maximal_chains(build_poset(family, n, 1))) == expected
 
     # the chains meet at rank R // 2 of the top rank R: A(3,3) and B(2,2)
     # (R = 0, 1) have no walk below it; the rest have odd and even R up to 16

@@ -37,7 +37,6 @@ from bruhatb.verify import (
     crossing_agreement,
     escape_witness_agreement,
     falsified_case,
-    flip_candidate_by_blocking,
     interval_escape_witness,
     make_case,
     minimal_chain,
@@ -214,9 +213,6 @@ class TestBlocking:
                 found += 1
         assert found > 0
 
-    def test_flip_candidacy_small(self):
-        assert flip_candidate_by_blocking(rho_min("B", 2, 2), star((2, 1)))
-
     def test_blocking_agreement_rank2(self):
         assert blocking_agreement(2)["result"]
 
@@ -224,6 +220,46 @@ class TestBlocking:
         # B(1,3) is empty: there is no level-3 element to flip
         rep = blocking_agreement(1)
         assert rep["params"]["instances"] == 0 and not rep["result"]
+
+    def test_certifies_the_flip_test_build_poset_runs(self, monkeypatch):
+        # a class-flip engine that loses its first flippable label must fail
+        from bruhatb import orders
+        engine = orders._class_flips
+        monkeypatch.setattr(orders, "_class_flips",
+                            lambda *args, **kw: engine(*args, **kw)[1:])
+        rep = blocking_agreement(3)
+        assert rep["params"]["instances"] > 0 and not rep["result"]
+        assert "counterexample" in rep
+
+
+class TestElementGate:
+    """Element inputs outside rho's ground set raise a ValueError naming them."""
+
+    rho = rho_min("B", 3, 2)
+    outside = normalize_orbit((-4, 1))
+    S = packet_B(normalize_orbit((-3, -2, -1))).elements
+
+    def test_blocks(self):
+        x = star((3,))
+        for f in (blocks, blocks_oracle):
+            for args in [(self.outside, self.S), (x, self.S | {self.outside})]:
+                with pytest.raises(ValueError, match=r"\[-4,1\] is not in the ground set"):
+                    f(self.rho, *args)
+
+    def test_minimal_chain(self):
+        with pytest.raises(ValueError, match=r"\[-4,1\] is not in the ground set"):
+            minimal_chain(self.rho, self.S | {self.outside})
+
+    def test_interval_escape_witness(self):
+        x = star((3,))
+        for args in [(self.S, self.outside), (self.S | {self.outside}, x)]:
+            with pytest.raises(ValueError, match=r"\[-4,1\] is not in the ground set"):
+                interval_escape_witness(self.rho, *args)
+
+    def test_classify_blocked_flip(self):
+        K = normalize_orbit((-4, -2, -1))
+        with pytest.raises(ValueError, match=r"\[-4,-2,-1\] is not a level-3 element"):
+            classify_blocked_flip(self.rho, K)
 
 
 class TestHeapAgainstOracle:
@@ -439,8 +475,8 @@ class TestClassification:
         assert checked == 105
 
     def test_nonmaximal_always_has_flip(self):
-        assert nonmaximal_has_flip(2)["result"]
-        assert nonmaximal_has_flip(3)["result"]
+        assert nonmaximal_has_flip(build_poset("B", 2, 2))["result"]
+        assert nonmaximal_has_flip(build_poset("B", 3, 2))["result"]
 
 
 class TestMsTypeASuite:
@@ -513,3 +549,9 @@ class TestWeylSuite:
                        swap_commutation_correspondence(chain_words(build_poset("B", 2, 1))))
         assert rep["params"] == {"n": 2, "instances": 0} and not rep["result"]
         assert not _counted("flip-braid-correspondence", 2, (False, 4))["result"]
+
+    def test_empty_chain_word_table_fails(self, monkeypatch):
+        from bruhatb import weyl
+        monkeypatch.setattr(weyl, "chain_words", lambda p: {})
+        (rep,) = [r for r in run_suite("weyl", 2) if r["check"] == "chain-words-reduced"]
+        assert rep["params"] == {"n": 2} and not rep["result"]

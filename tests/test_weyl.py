@@ -226,6 +226,10 @@ class TestRootInversionCompatibility:
         monkeypatch.setattr(weyl, "root_of", lambda K: Root("short", 1))
         assert not check_root_inversions(2)
 
+    def test_no_ordering_fails(self, monkeypatch):
+        monkeypatch.setattr(weyl, "enumerate_admissible", lambda *args: [])
+        assert not check_root_inversions(2)
+
 
 class TestChainWords:
     def test_alternating_word_rank2(self):
