@@ -21,7 +21,7 @@ from bruhatb import (
 print("C(I_4, 2):", [format_element(S) for S in enumerate_A(4, 2)])
 
 # The packet of a (k+1)-subset collects its k-element faces.
-print("packet of {1,2,3}:", sorted(packet_A((1, 2, 3))))
+print("packet of {1,2,3}:", sorted(packet_A((1, 2, 3)).elements))
 
 # Type B works over J_n = {-n..-1, 1..n}.  Level-2 elements are either
 # negation orbits of signed pairs with distinct absolute values, or a

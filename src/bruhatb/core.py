@@ -28,13 +28,6 @@ def enumerate_A(n: int, k: int) -> list[tuple[int, ...]]:
     return list(itertools.combinations(range(1, n + 1), k))
 
 
-def packet_A(K: tuple[int, ...]) -> set[tuple[int, ...]]:
-    """The (|K|-1)-subsets of K."""
-    if len(K) < 2:
-        raise ValueError(f"packet needs |K| >= 2, got {K}")
-    return set(itertools.combinations(K, len(K) - 1))
-
-
 # ---------------------------------------------------------------------------
 # type B elements
 # ---------------------------------------------------------------------------
@@ -153,11 +146,20 @@ class Packet:
 
     `components` are the comparable components of the packet order, each a
     tuple listed in increasing packet order.  Packets at levels 2 and 3 are
-    total chains; 1-packets of orbit elements split into two chains.
+    total chains; 1-packets of orbit elements split into two chains.  A type
+    A packet is one chain.
     """
 
     elements: frozenset
     components: tuple[tuple, ...]
+
+
+def packet_A(K: tuple[int, ...]) -> Packet:
+    """The packet of K: its (|K|-1)-subsets, one chain in lexicographic order."""
+    if len(K) < 2:
+        raise ValueError(f"packet needs |K| >= 2, got {K}")
+    chain = tuple(itertools.combinations(K, len(K) - 1))
+    return Packet(frozenset(chain), (chain,))
 
 
 def packet_B(K: BElem) -> Packet:

@@ -25,6 +25,7 @@ from .core import (
     enumerate_A,
     enumerate_B,
     format_element,
+    packet_A,
     packet_B,
     parse_element,
 )
@@ -105,8 +106,7 @@ class _Coding(NamedTuple):
 @lru_cache(maxsize=None)
 def _coding(family: str, n: int, k: int) -> _Coding:
     """The one packet table.  The labels are the level-(k+1) elements in
-    standard order, or by kind and entries at level 4, which has none.  A
-    type A packet lists the k-subsets of K in lexicographic order."""
+    standard order, or by kind and entries at level 4, which has none."""
     ground = tuple(ground_set(family, n, k))
     if family == "A":
         upper = enumerate_A(n, k + 1) if k < n else []
@@ -118,10 +118,8 @@ def _coding(family: str, n: int, k: int) -> _Coding:
     partners = [0] * len(ground)
     labels = []
     for K in upper:
-        chains = ((tuple(itertools.combinations(K, k)),) if family == "A"
-                  else packet_B(K).components)
         comps = []
-        for chain in chains:
+        for chain in (packet_A(K) if family == "A" else packet_B(K)).components:
             codes = tuple(code[e] for e in chain)
             mask = sum(1 << c for c in codes)
             for c in codes:
@@ -651,20 +649,16 @@ def admissible_orderings_filter(family: str, n: int, k: int) -> list[TotalOrder]
     return out
 
 
-def chains_bijection_check(p: BruhatPoset) -> bool:
-    """Chain labels are admissible level-(k+1) orders, one chain per order."""
-    return _chains_biject(p, maximal_chains(p))
-
-
 @_gc_paused()
-def _chains_biject(p: BruhatPoset, chains: list[tuple]) -> bool:
-    """chains_bijection_check on the already listed maximal_chains(p).
+def chains_bijection_check(p: BruhatPoset, chains: list[tuple]) -> bool:
+    """Chain labels are admissible level-(k+1) orders, one chain per order.
 
-    A chain is read as its label indices.  The labels of _coding(family, n,
-    k) are listed in the standard order of level k + 1, so these are the
-    codes of a level-(k+1) sequence, and the chains must be, once each, the
-    orderings that admissible_sequences lists from the level-(k+1) packets
-    (in type A at k = n, only the empty ordering of the empty level n + 1).
+    chains is the listing maximal_chains(p).  A chain is read as its label
+    indices.  The labels of _coding(family, n, k) are listed in the standard
+    order of level k + 1, so these are the codes of a level-(k+1) sequence,
+    and the chains must be, once each, the orderings that
+    admissible_sequences lists from the level-(k+1) packets (in type A at
+    k = n, only the empty ordering of the empty level n + 1).
     """
     coding = _coding(p.family, p.n, p.k)
     upper = _coding(p.family, p.n, p.k + 1).labels if coding.labels else ()

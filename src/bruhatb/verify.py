@@ -89,6 +89,7 @@ def crosses(rho: TotalOrder, a, b) -> bool:
 
 def crosses_oracle(rho: TotalOrder, a, b) -> bool:
     """Class-enumeration ground truth for crosses."""
+    _outside(rho, a, (b,), "crossing needs two distinct elements")
     before = rho.positions[a] < rho.positions[b]
     for member in class_members(rho):
         if (member.positions[a] < member.positions[b]) != before:
@@ -140,7 +141,7 @@ def blocks_oracle(rho: TotalOrder, x, S) -> bool:
     _outside(rho, x, S, "a blocking element must lie outside S")
     for member in class_members(rho):
         ps = [member.positions[e] for e in S]
-        if not min(ps) <= member.positions[x] <= max(ps):
+        if not ps or not min(ps) <= member.positions[x] <= max(ps):
             return False
     return True
 
@@ -246,8 +247,11 @@ def make_case(case_id: str, K: BElem, x: int, n: int | None = None) -> CaseSpec:
     triple = _case_triple(case_id, K, x)
     if triple is None:
         raise ValueError(f"{case_id} cannot be instantiated with K={K}, x={x}")
+    rank = max(max(abs(v) for v in K.entries), abs(x))
     if n is None:
-        n = max(max(abs(v) for v in K.entries), abs(x))
+        n = rank
+    elif rank > n:
+        raise ValueError(f"K={K}, x={x} need rank {rank}, beyond rank n={n}")
     chain = packet_B(K).components[0]
     first, mid, last = triple
     seq: list = []
@@ -540,6 +544,8 @@ def obstruction_case_suite(n: int = 3) -> list[dict]:
 
 def nonmaximal_has_flip(p) -> dict:
     """Each class of p = build_poset("B", n, 2) but the top has an uninverted flip."""
+    if p.family != "B" or p.k != 2:
+        raise ValueError(f"needs a type B level-2 poset, got {p.family}({p.n},{p.k})")
     full = p.full_inv
     stuck = [nd.canon for nd in p.nodes.values() if nd.inv != full
              and not class_flip_candidates(OrderClass(nd.canon)) - nd.inv]
@@ -573,59 +579,56 @@ def _run_task(task):
 
 
 def _suite_tasks(name: str, n: int):
-    from functools import cache
+    """The suite's checks as argument-less tasks, in report order.
+
+    One memo per run: each poset is built once, its maximal chains are
+    listed once, and each B(n,1) chain-word table is read off that listing.
+    Every check takes the poset, listing or table it reads from the memo.
+    """
+    import math
+    from functools import cache, partial
 
     from . import weyl
-    from .orders import _chains_biject, build_poset, check_extrema, \
+    from .orders import build_poset, chains_bijection_check, check_extrema, \
         inv_injectivity_check, maximal_chains
 
-    # built once per suite run: each poset, and each B(n,1)'s chain-word table
     poset = cache(build_poset)
-    words = cache(lambda nn: weyl.chain_words(poset("B", nn, 1)))
-    chain_counts = {}   # (family, n, k) -> maximal chains listed by poset_checks
+    chains = cache(lambda family, nn, k: maximal_chains(poset(family, nn, k)))
+    words = cache(lambda nn: weyl.chain_words(chains("B", nn, 1), "B", nn))
 
-    def poset_checks(family, nn, k, expect_nodes=None):
-        def run():
-            p = poset(family, nn, k)
-            rep = check_extrema(p)
-            ok = rep.unique_min and rep.unique_max and rep.graded
-            ok = ok and inv_injectivity_check(p)
-            counts = {"nodes": len(p.nodes)}
-            if expect_nodes is not None:
-                ok = ok and len(p.nodes) == expect_nodes
-                counts["expected_nodes"] = expect_nodes
-            chains = maximal_chains(p)
-            ok = ok and _chains_biject(p, chains)
-            counts["chains"] = chain_counts[family, nn, k] = len(chains)
-            return _report("flip-poset", {"family": family, "n": nn, "k": k,
-                                          **counts}, ok)
-        return run
+    def flip_poset(family, nn, k, expect_nodes=None):
+        p = poset(family, nn, k)
+        rep = check_extrema(p)
+        ok = rep.unique_min and rep.unique_max and rep.graded
+        ok = ok and inv_injectivity_check(p)
+        counts = {"nodes": len(p.nodes)}
+        if expect_nodes is not None:
+            ok = ok and len(p.nodes) == expect_nodes
+            counts["expected_nodes"] = expect_nodes
+        listed = chains(family, nn, k)
+        ok = ok and chains_bijection_check(p, listed)
+        return _report("flip-poset", {"family": family, "n": nn, "k": k, **counts,
+                                      "chains": len(listed)}, ok)
 
-    import math
     tasks = []
     if name in ("ms-typeA", "all"):
         for nn in range(3, n + 1):
             for k in range(1, min(nn - 1, 3) + 1):
                 expect = math.factorial(nn) if k == 1 else None
-                tasks.append(poset_checks("A", nn, k, expect))
-
-        def word_count():
-            chains = chain_counts.get(("A", n, 1))
-            if chains is None:      # n < 3, or the flip-poset task raised
-                chains = len(maximal_chains(poset("A", n, 1)))
-            return _report("reduced-word-count", {"family": "A", "n": n},
-                           chains == len(weyl.reduced_words_brute("A", n)))
-        tasks.append(word_count)
+                tasks.append(partial(flip_poset, "A", nn, k, expect))
+        tasks.append(lambda: _report(
+            "reduced-word-count", {"family": "A", "n": n},
+            len(chains("A", n, 1)) == len(weyl.reduced_words_brute("A", n))))
     if name in ("typeB-k1", "all"):
         for nn in range(2, n + 1):
             expect = 2 ** nn * math.factorial(nn)
-            tasks.append(poset_checks("B", nn, 1, expect))
+            tasks.append(partial(flip_poset, "B", nn, 1, expect))
             tasks.append(lambda nn=nn: _report(
                 "weak-order-isomorphism", {"n": nn},
                 weyl._iso_check(poset("B", nn, 1))))
     if name in ("typeB-k2", "all"):
         for nn in range(2, n + 1):
-            tasks.append(poset_checks("B", nn, 2))
+            tasks.append(partial(flip_poset, "B", nn, 2))
             tasks.append(lambda nn=nn: blocking_agreement(nn))
             tasks.append(lambda nn=nn: nonmaximal_has_flip(poset("B", nn, 2)))
     if name in ("weyl", "all"):

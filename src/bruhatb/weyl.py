@@ -28,7 +28,6 @@ from .orders import (
     enumerate_admissible,
     flip_candidates,
     inversion_set,
-    maximal_chains,
     packet_flip,
 )
 
@@ -393,10 +392,10 @@ def chain_to_word(labels, family: str, n: int) -> ReducedWord:
     return ReducedWord(family, n, tuple(letters))
 
 
-def chain_words(p: BruhatPoset) -> dict:
-    """Each maximal chain of p = build_poset(family, n, 1), a level-2
-    ordering read as its label tuple, mapped to its ReducedWord."""
-    return {labels: chain_to_word(labels, p.family, p.n) for labels in maximal_chains(p)}
+def chain_words(chains, family: str, n: int) -> dict:
+    """Each chain of a listing of maximal_chains(build_poset(family, n, 1)),
+    a level-2 ordering read as its label tuple, mapped to its ReducedWord."""
+    return {labels: chain_to_word(labels, family, n) for labels in chains}
 
 
 def braid_classify(K) -> str:
@@ -454,11 +453,12 @@ def _generator_order(family: str, n: int, a: int, b: int) -> int:
 def flip_braid_correspondence(words: dict) -> tuple[bool, int]:
     """Level-2 flips act on chain words as braid moves of the right arity.
 
-    words is chain_words(build_poset(family, n, 1)), keyed by the admissible
-    level-2 orderings.  Flipping an orbit element replaces an alternating
-    block s t s by t s t (generators of order 3); flipping a star element
-    replaces s t s t by t s t s (order 4).  Letters outside the flipped block
-    are untouched, and a flip to an ordering missing from words fails.
+    words is chain_words(maximal_chains(build_poset(family, n, 1)), family,
+    n), keyed by the admissible level-2 orderings.  Flipping an orbit element
+    replaces an alternating block s t s by t s t (generators of order 3);
+    flipping a star element replaces s t s t by t s t s (order 4).  Letters
+    outside the flipped block are untouched, and a flip to an ordering
+    missing from words fails.
     Returns (ok, flips checked).
     """
     flips = 0

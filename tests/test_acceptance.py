@@ -58,7 +58,7 @@ def test_criterion_1_type_a_flip_posets():
         posets[n, k] = p
         assert _extrema_ok(p), (n, k)
         assert inv_injectivity_check(p), (n, k)
-        assert chains_bijection_check(p), (n, k)
+        assert chains_bijection_check(p, maximal_chains(p)), (n, k)
     assert len(posets[3, 1].nodes) == factorial(3) == 6
     assert len(posets[4, 1].nodes) == factorial(4) == 24
     for n in (3, 4):
@@ -119,8 +119,9 @@ def test_criterion_4_chain_label_bijection():
     for family_n_k in [("B", 2, 1), ("B", 3, 1), ("B", 2, 2), ("B", 3, 2)]:
         family, n, k = family_n_k
         p = build_poset(family, n, k)
-        assert chains_bijection_check(p), family_n_k
-        sizes[n, k] = len(maximal_chains(p))
+        chains = maximal_chains(p)
+        assert chains_bijection_check(p, chains), family_n_k
+        sizes[n, k] = len(chains)
     assert sizes[2, 1] == len(enumerate_admissible("B", 2, 2)) == 2
     assert sizes[2, 2] == len(enumerate_admissible("B", 2, 3)) == 1
     words_b3 = reduced_words_brute("B", 3)

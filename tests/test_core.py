@@ -7,6 +7,7 @@ import pytest
 
 from bruhatb.core import (
     BElem,
+    Packet,
     UnsupportedLevelError,
     enumerate_A,
     enumerate_B,
@@ -47,15 +48,16 @@ class TestEnumerateA:
 
 class TestPacketA:
     def test_triple(self):
-        assert packet_A((1, 2, 3)) == {(1, 2), (1, 3), (2, 3)}
+        assert packet_A((1, 2, 3)) == Packet(frozenset({(1, 2), (1, 3), (2, 3)}),
+                                             (((1, 2), (1, 3), (2, 3)),))
 
     def test_pair(self):
-        assert packet_A((1, 2)) == {(1,), (2,)}
+        assert packet_A((1, 2)).components == (((1,), (2,)),)
 
     def test_quadruple_against_oracle(self):
         K = (1, 2, 3, 4)
-        assert packet_A(K) == set(itertools.combinations(K, 3))
-        assert len(packet_A(K)) == 4
+        assert packet_A(K).components == (tuple(itertools.combinations(K, 3)),)
+        assert len(packet_A(K).elements) == 4
 
     def test_too_small(self):
         with pytest.raises(ValueError):
@@ -65,7 +67,7 @@ class TestPacketA:
         # distinct same-level packets in type A intersect in <= 1 element
         for n in range(2, 6):
             for k in range(1, n):
-                packets = [packet_A(K) for K in enumerate_A(n, k + 1)]
+                packets = [packet_A(K).elements for K in enumerate_A(n, k + 1)]
                 for p, q in itertools.combinations(packets, 2):
                     assert len(p & q) <= 1
 

@@ -177,6 +177,10 @@ class TestCrossing:
         with pytest.raises(ValueError):
             crosses(rho_min("B", 2, 2), star((1,)), star((1,)))
 
+    def test_oracle_rejects_equal_elements(self):
+        with pytest.raises(ValueError, match="two distinct elements"):
+            crosses_oracle(rho_min("B", 2, 2), star((1,)), star((1,)))
+
     def test_rejects_element_outside_ground_set(self):
         outside, inside = normalize_orbit((-3, 1)), star((1,))
         for a, b in [(outside, inside), (inside, outside)]:
@@ -245,6 +249,16 @@ class TestElementGate:
             for args in [(self.outside, self.S), (x, self.S | {self.outside})]:
                 with pytest.raises(ValueError, match=r"\[-4,1\] is not in the ground set"):
                     f(self.rho, *args)
+
+    def test_blocks_of_nothing(self):
+        x = star((3,))
+        assert blocks(self.rho, x, ()) is blocks_oracle(self.rho, x, ()) is False
+
+    def test_crosses_oracle(self):
+        x = star((3,))
+        for args in [(self.outside, x), (x, self.outside)]:
+            with pytest.raises(ValueError, match=r"\[-4,1\] is not in the ground set"):
+                crosses_oracle(self.rho, *args)
 
     def test_minimal_chain(self):
         with pytest.raises(ValueError, match=r"\[-4,1\] is not in the ground set"):
@@ -432,6 +446,12 @@ class TestObstructionCases:
         with pytest.raises(ValueError):
             make_case("star1", star((2, 1)), 2)
 
+    def test_beyond_rank_rejected(self):
+        for K, x in [(normalize_orbit((-4, -2, -1)), 3), (star((2, 1)), 4)]:
+            with pytest.raises(ValueError, match="beyond rank n=3"):
+                make_case("orbit1" if K.kind == "orbit" else "star1", K, x, 3)
+        assert make_case("orbit1", normalize_orbit((-4, -2, -1)), 3).n == 4
+
     def test_report_serializes(self):
         rep = case_report(standard_cases()[0])
         obj = rep.to_json_obj()
@@ -478,6 +498,11 @@ class TestClassification:
         assert nonmaximal_has_flip(build_poset("B", 2, 2))["result"]
         assert nonmaximal_has_flip(build_poset("B", 3, 2))["result"]
 
+    @pytest.mark.parametrize("family,n,k", [("B", 3, 1), ("A", 4, 2)])
+    def test_nonmaximal_needs_type_b_level_2(self, family, n, k):
+        with pytest.raises(ValueError, match="type B level-2 poset"):
+            nonmaximal_has_flip(build_poset(family, n, k))
+
 
 class TestMsTypeASuite:
     @pytest.mark.parametrize("n", [2, 4])
@@ -505,17 +530,23 @@ class TestMsTypeASuite:
 class TestAllSuite:
     def test_each_poset_built_once(self, monkeypatch):
         from bruhatb import orders, weyl
-        built = []
+        built, listed = [], []
 
         def counting_build(*args, **kwargs):
             built.append(args)
             return build_poset(*args, **kwargs)
+
+        def counting_chains(p):
+            listed.append((p.family, p.n, p.k))
+            return maximal_chains(p)
         monkeypatch.setattr(orders, "build_poset", counting_build)
         monkeypatch.setattr(weyl, "build_poset", counting_build)
+        monkeypatch.setattr(orders, "maximal_chains", counting_chains)
+        monkeypatch.setattr(weyl, "maximal_chains", counting_chains, raising=False)
         reports = run_suite("all", 3)
         configs = [("A", 3, 1), ("A", 3, 2), ("B", 2, 1), ("B", 2, 2),
                    ("B", 3, 1), ("B", 3, 2)]
-        assert sorted(built) == configs
+        assert sorted(built) == sorted(listed) == configs
         assert all(r["result"] for r in reports)
 
     # sha256 of [(check, params, result)] for run_suite("all", 3) in order, as
@@ -546,12 +577,13 @@ class TestWeylSuite:
     def test_check_that_tests_nothing_fails(self):
         from bruhatb.verify import _counted
         rep = _counted("swap-commutation-correspondence", 2,
-                       swap_commutation_correspondence(chain_words(build_poset("B", 2, 1))))
+                       swap_commutation_correspondence(chain_words(
+                           maximal_chains(build_poset("B", 2, 1)), "B", 2)))
         assert rep["params"] == {"n": 2, "instances": 0} and not rep["result"]
         assert not _counted("flip-braid-correspondence", 2, (False, 4))["result"]
 
     def test_empty_chain_word_table_fails(self, monkeypatch):
         from bruhatb import weyl
-        monkeypatch.setattr(weyl, "chain_words", lambda p: {})
+        monkeypatch.setattr(weyl, "chain_words", lambda chains, family, n: {})
         (rep,) = [r for r in run_suite("weyl", 2) if r["check"] == "chain-words-reduced"]
         assert rep["params"] == {"n": 2} and not rep["result"]

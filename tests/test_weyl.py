@@ -320,13 +320,15 @@ class TestBraid:
 
     @pytest.mark.parametrize("n", (2, 3))
     def test_flip_braid_correspondence(self, n):
-        ok, flips = flip_braid_correspondence(chain_words(build_poset("B", n, 1)))
+        ok, flips = flip_braid_correspondence(
+            chain_words(maximal_chains(build_poset("B", n, 1)), "B", n))
         assert ok and flips == sum(len(flip_candidates(rho))
                                    for rho in enumerate_admissible("B", n, 2))
 
     @pytest.mark.parametrize("n", (2, 3))
     def test_swap_commutation_correspondence(self, n):
-        ok, swaps = swap_commutation_correspondence(chain_words(build_poset("B", n, 1)))
+        ok, swaps = swap_commutation_correspondence(
+            chain_words(maximal_chains(build_poset("B", n, 1)), "B", n))
         if n == 2:      # B(2,2)'s two orderings have no commuting neighbours
             assert swaps == 0
         else:
@@ -335,7 +337,7 @@ class TestBraid:
     @pytest.mark.parametrize("drop", (0, 41))
     def test_missing_chain_fails(self, drop):
         # a flip or swap into the dropped ordering has no word to compare
-        words = chain_words(build_poset("B", 3, 1))
+        words = chain_words(maximal_chains(build_poset("B", 3, 1)), "B", 3)
         assert len(words) == 42
         del words[list(words)[drop]]
         assert not flip_braid_correspondence(words)[0]
