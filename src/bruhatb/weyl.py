@@ -3,7 +3,9 @@
 Admissible orderings of the signed index set correspond to signed
 permutations; packet flips become left multiplications by simple reflections,
 identifying the level-1 flip poset with the weak left Bruhat order.  Maximal
-chains then read off as reduced words for the longest element.
+chains then read off as reduced words for the longest element, and one walk
+over their table checks that level-2 flips and swaps of commuting labels act
+on the words as braid moves of arity 3 or 4 and 2 (_braid_walk).
 
 Both families live in the hyperoctahedral group: a type A permutation is a
 signed permutation with a positive window.  Roots are type B only: e_i,
@@ -23,12 +25,13 @@ from .orders import (
     _coding,
     _flip_runs,
     _placed,
+    _runs,
+    _slots,
     build_poset,
-    commutes,
     enumerate_admissible,
-    flip_candidates,
+    flip_candidates,   # not called here; bench/tracing.py wraps it in this module
     inversion_set,
-    packet_flip,
+    packet_flip,       # likewise
 )
 
 
@@ -210,40 +213,28 @@ def simple_reflections(family: str, n: int) -> dict:
 # ---------------------------------------------------------------------------
 
 def order_to_perm(rho: TotalOrder) -> SignedPermutation:
-    """The permutation sending the element in slot i to i.
+    """The permutation sending the element in slot i to i, read on codes.
 
-    Type A slots run 1..n, giving a positive window.  Type B slots run
-    -n..-1, 1..n; admissibility forces the result to be a signed permutation
-    (negation-reversed ordering), which is checked.
+    The last n codes of the packet table are the elements 1..n.  With
+    o = |ground| - n, slot t is labelled t - o + 1 when t >= o, else t - o:
+    type A slots run 1..n, type B slots -n..-1, 1..n.  In type B codes o-1-j
+    and o+j are -(j+1) and j+1, and admissibility forces their labels to be
+    negatives (a signed permutation), which is checked.
     """
     if rho.k != 1:
         raise ValueError("only level-1 orderings correspond to permutations")
-    if rho.family == "A":
-        images = [0] * rho.n
-        for slot, e in enumerate(rho.seq, start=1):
-            images[e[0] - 1] = slot
-        return SignedPermutation(tuple(images))
-    n = rho.n
-    labels = list(range(-n, 0)) + list(range(1, n + 1))
-    mapping = {e: lab for e, lab in zip(rho.seq, labels)}
-    images = tuple(mapping[i] for i in range(1, n + 1))
-    for i in range(1, n + 1):
-        if mapping[-i] != -mapping[i]:
+    coding, _seq, pos = _placed(rho)
+    offset = len(coding.ground) - rho.n
+    label = [t - offset + (t >= offset) for t in pos]
+    for j in range(offset):
+        if label[offset - 1 - j] != -label[offset + j]:
             raise InvalidOrderingError(
-                f"ordering is not negation-reversed at {i}")
-    return SignedPermutation(images)
+                f"ordering is not negation-reversed at {j + 1}")
+    return SignedPermutation(tuple(label[offset:]))
 
 
 class InvalidOrderingError(ValueError):
     """Level-1 ordering does not map onto the hyperoctahedral group."""
-
-
-def perm_to_order(pi: SignedPermutation) -> TotalOrder:
-    """Inverse of order_to_perm for type B."""
-    n = pi.n
-    inv = pi.inverse()
-    labels = list(range(-n, 0)) + list(range(1, n + 1))
-    return TotalOrder("B", n, 1, tuple(inv(lab) for lab in labels))
 
 
 # ---------------------------------------------------------------------------
@@ -453,60 +444,54 @@ def _generator_order(family: str, n: int, a: int, b: int) -> int:
 def flip_braid_correspondence(words: dict) -> tuple[bool, int]:
     """Level-2 flips act on chain words as braid moves of the right arity.
 
-    words is chain_words(maximal_chains(build_poset(family, n, 1)), family,
-    n), keyed by the admissible level-2 orderings.  Flipping an orbit element
-    replaces an alternating block s t s by t s t (generators of order 3);
-    flipping a star element replaces s t s t by t s t s (order 4).  Letters
-    outside the flipped block are untouched, and a flip to an ordering
-    missing from words fails.
-    Returns (ok, flips checked).
+    Flipping an orbit element replaces an alternating block s t s by t s t
+    (generators of order 3); flipping a star element replaces s t s t by
+    t s t s (order 4), on the slots the flip reverses.  words is as for
+    _braid_walk.  Returns (ok, flips checked).
     """
-    flips = 0
-    for seq, word in words.items():
-        rho = TotalOrder(word.family, word.n, 2, seq)
-        w1 = word.letters
-        for K in flip_candidates(rho):
-            flips += 1
-            flipped = words.get(packet_flip(rho, K).seq)
-            if flipped is None:
-                return False, flips
-            w2 = flipped.letters
-            diff = [t for t in range(len(w1)) if w1[t] != w2[t]]
-            arity = 3 if braid_classify(K) == "m3" else 4
-            if len(diff) != arity or diff != list(range(diff[0], diff[-1] + 1)):
-                return False, flips
-            lo = diff[0]
-            a, b = w1[lo], w1[lo + 1]
-            if (a == b or w1[lo:lo + arity] != ((a, b) * arity)[:arity]
-                    or w2[lo:lo + arity] != ((b, a) * arity)[:arity]
-                    or _generator_order(word.family, word.n, a, b) != arity):
-                return False, flips
-    return True, flips
+    return _braid_walk(words, (3, 4))
 
 
 def swap_commutation_correspondence(words: dict) -> tuple[bool, int]:
-    """Swaps of commuting labels exchange commuting word letters: (ok, swaps).
+    """Swaps of commuting labels exchange the two commuting word letters in
+    their slots: (ok, swaps).  words is as for _braid_walk."""
+    return _braid_walk(words, (2,))
 
-    words is as for flip_braid_correspondence; a swap to an ordering missing
-    from words fails.
+
+def _braid_walk(words: dict, arities: tuple) -> tuple[bool, int]:
+    """The move walk over a chain-word table: (ok, moves of an arity in arities).
+
+    words is chain_words(maximal_chains(build_poset(family, n, 1)), family,
+    n), keyed by the admissible level-2 orderings.  A move of arity m at slot
+    lo reverses slots lo .. lo+m-1 of an ordering: a flip at a level-3 label
+    whose packet (one component, of 3 elements for an orbit label and 4 for a
+    star) fills that run of slots (orders._runs), or a swap of two adjacent
+    commuting labels (m = 2).  The neighbour must be a key whose word differs
+    from this one exactly on those slots, where an alternating block
+    (a, b, a, ...) becomes (b, a, b, ...) and s_a s_b has order m.
     """
-    swaps = 0
+    moves = 0
     for seq, word in words.items():
+        coding = _coding(word.family, word.n, 2)
+        codes = [coding.code[e] for e in seq]
+        pos = _slots(codes)
+        spans = [(lo, hi + 1 - lo) for _K, comps in coding.labels
+                 for lo, hi in _runs(pos, comps)]
+        spans += [(t, 2) for t in range(len(codes) - 1)
+                  if not coding.partners[codes[t]] >> codes[t + 1] & 1]
         w1 = word.letters
-        for t in range(len(seq) - 1):
-            a, b = seq[t], seq[t + 1]
-            if not commutes(a, b, word.family, word.n, 2):
+        for lo, m in spans:
+            if m not in arities:
                 continue
-            swaps += 1
-            swapped = words.get(seq[:t] + (b, a) + seq[t + 2:])
-            if swapped is None:
-                return False, swaps
-            w2 = swapped.letters
-            if ([u for u in range(len(w1)) if w1[u] != w2[u]] != [t, t + 1]
-                    or (w1[t], w1[t + 1]) != (w2[t + 1], w2[t])
-                    or _generator_order(word.family, word.n, w1[t], w1[t + 1]) != 2):
-                return False, swaps
-    return True, swaps
+            moves += 1
+            w2 = words.get(seq[:lo] + seq[lo:lo + m][::-1] + seq[lo + m:])
+            a, b = w1[lo], w1[lo + 1]
+            block = (a, b) * m
+            if (w2 is None or w1[lo:lo + m] != block[:m]
+                    or w2.letters != w1[:lo] + block[1:m + 1] + w1[lo + m:]
+                    or _generator_order(word.family, word.n, a, b) != m):
+                return False, moves
+    return True, moves
 
 
 def check_root_inversions(n: int) -> bool:

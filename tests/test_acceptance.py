@@ -226,7 +226,7 @@ def test_criterion_8_appendix_machinery():
         rep = case_report(case)
         assert rep.ok and rep.extensions > 0, case.case_id
     control = case_report(falsified_case())
-    assert control.ok and control.extensions == 0
+    assert not control.ok and control.extensions == 0
     elapsed = time.monotonic() - start
     assert elapsed < 600
     print(f"PASS criterion 8: appendix machinery "

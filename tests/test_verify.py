@@ -253,6 +253,8 @@ class TestElementGate:
     def test_blocks_of_nothing(self):
         x = star((3,))
         assert blocks(self.rho, x, ()) is blocks_oracle(self.rho, x, ()) is False
+        # no interval surrounds nothing, so rho itself is the escape
+        assert interval_escape_witness(self.rho, (), x) is self.rho
 
     def test_crosses_oracle(self):
         x = star((3,))
@@ -419,8 +421,14 @@ class TestObstructionCases:
         assert rep.failure in _b32_admissible()
 
     def test_negative_control_is_vacuous(self):
+        # a case that lists no ordering certifies nothing, so it fails; the
+        # negative control passes exactly then
         rep = case_report(falsified_case())
-        assert rep.ok and rep.extensions == 0 and rep.acyclic == 0
+        assert not rep.ok and rep.extensions == 0 and rep.acyclic == 0
+        assert rep.to_json_obj()["result"] is False
+        control = obstruction_case_suite(3)[-1]
+        assert control["check"] == "obstruction-case-negative-control"
+        assert control["result"] and control["extensions"] == 0
 
     def test_rank4_cases_keep_the_rank3_ambient(self):
         # at rank 3 the one level-4 element, [3,2,1,*], covers the whole
@@ -581,6 +589,23 @@ class TestWeylSuite:
                            maximal_chains(build_poset("B", 2, 1)), "B", 2)))
         assert rep["params"] == {"n": 2, "instances": 0} and not rep["result"]
         assert not _counted("flip-braid-correspondence", 2, (False, 4))["result"]
+
+    def test_shared_chain_word_fails(self, monkeypatch):
+        # two chains with one word: every word is still reduced, but the
+        # table no longer matches the reduced words one to one
+        from bruhatb import weyl
+        chain_words_of = weyl.chain_words
+
+        def shared(chains, family, n):
+            table = chain_words_of(chains, family, n)
+            first, second = list(table)[:2]
+            table[second] = table[first]
+            return table
+        monkeypatch.setattr(weyl, "chain_words", shared)
+        for n in (2, 3):
+            (rep,) = [r for r in run_suite("weyl", n)
+                      if r["check"] == "chain-words-reduced" and r["params"]["n"] == n]
+            assert not rep["result"]
 
     def test_empty_chain_word_table_fails(self, monkeypatch):
         from bruhatb import weyl
