@@ -3,8 +3,9 @@
 Thin adapters over the library; exit status 0 on success, 1 when a
 verification suite reports a failure (a check that raises is reported as a
 failure) or runs no check, 2 on usage errors including unsupported ranks or
-levels and an --out that cannot be written.  Suites run their checks
-serially; `verify --jobs N` is still accepted (N >= 1) and changes nothing.
+levels and an --out that cannot be written, 3 on any other exception (an
+internal error).  Suites run their checks serially; `verify --jobs N` is
+still accepted (N >= 1) and changes nothing.
 """
 
 from __future__ import annotations
@@ -155,6 +156,9 @@ def main(argv=None) -> int:
     except (UnsupportedLevelError, PosetOverflowError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -4,7 +4,8 @@ A total ordering of a ground set is admissible when its restriction to every
 packet agrees with the packet order or its reverse.  Packet flips reverse the
 comparable components of one packet in place; quotienting by swaps of adjacent
 commuting elements and closing under flips yields a graded poset with the
-inversion set as rank function.
+inversion set as rank function.  The poset is kept on the integer codes of
+_coding: node ids, inversion masks and label-code edges (BruhatPoset).
 """
 
 from __future__ import annotations
@@ -130,6 +131,11 @@ def _coding(family: str, n: int, k: int) -> _Coding:
                    {K: i for i, K in enumerate(upper)})
 
 
+def _mask_labels(labels: tuple, mask: int) -> list:
+    """The labels K of _Coding.labels whose bit is set in mask, in label order."""
+    return [K for i, (K, _comps) in enumerate(labels) if mask >> i & 1]
+
+
 def _placed(rho: TotalOrder) -> tuple[_Coding, list[int], list[int]]:
     """rho on codes: its coding, its codes in slot order and the slot of each code."""
     coding = _coding(rho.family, rho.n, rho.k)
@@ -177,8 +183,7 @@ def is_admissible(rho: TotalOrder) -> bool:
 def inversion_set(rho: TotalOrder) -> frozenset:
     """The level-(k+1) elements whose packet appears fully reversed."""
     rev = _packet_orientations(rho)
-    labels = _coding(rho.family, rho.n, rho.k).labels
-    return frozenset(K for i, (K, _comps) in enumerate(labels) if rev >> i & 1)
+    return frozenset(_mask_labels(_coding(rho.family, rho.n, rho.k).labels, rev))
 
 
 def _runs(pos: list[int], comps: tuple) -> list[tuple[int, int]]:
@@ -406,25 +411,32 @@ def _flip_span(seq: list[int], pos: list[int], below: list[int],
 
 @dataclass
 class PosetNode:
-    canon: TotalOrder
-    inv: frozenset
-    rank: int
+    """A commutation class on codes, ranked by the size of its inversion set."""
+
+    canon: tuple    # its least member, as codes of _coding(family, n, k)
+    inv: int        # its inversion set, as a mask over label codes
+
+    @property
+    def rank(self) -> int:
+        return self.inv.bit_count()
 
 
 @dataclass
 class BruhatPoset:
-    """Flip poset on commutation classes, graded by inversion-set size."""
+    """Flip poset on commutation classes, graded by inversion-set size.  Node
+    0 is the minimum; elements come back only in order(i), the export
+    functions and the labels of maximal_chains."""
 
     family: str
     n: int
     k: int
-    nodes: dict = field(default_factory=dict)     # canon seq -> PosetNode
-    edges: list = field(default_factory=list)     # (src seq, dst seq, label)
-    min_key: tuple = ()
+    nodes: list = field(default_factory=list)     # node id -> PosetNode
+    edges: list = field(default_factory=list)     # (src id, dst id, label code)
 
-    @property
-    def full_inv(self) -> frozenset:
-        return frozenset(K for K, _ in _coding(self.family, self.n, self.k).labels)
+    def order(self, i: int) -> TotalOrder:
+        """The canonical form of node i as a TotalOrder."""
+        ground, canon = _coding(self.family, self.n, self.k).ground, self.nodes[i].canon
+        return TotalOrder(self.family, self.n, self.k, tuple([ground[c] for c in canon]))
 
 
 @contextmanager
@@ -443,9 +455,9 @@ def _gc_paused():
 def build_poset(family: str, n: int, k: int) -> BruhatPoset:
     """BFS closure of packet flips starting from the minimal class.
 
-    Nodes are keyed by canonical form; every edge applies one flip at a label
-    outside the inversion set, raising rank by one.  A class is the set of
-    linear extensions of its heap, so an edge finds its class by the flipped
+    Node ids number the classes as found; every edge applies one flip at a
+    label outside the inversion set, raising rank by one.  A class is the set
+    of linear extensions of its heap, so an edge finds its class by the flipped
     member's below masks, recomputed from the first slot the flip moves; the
     canonical form is computed once, when the class is new.  The node budget
     is BRUHAT_MAX_NODES (default DEFAULT_MAX_NODES).
@@ -463,45 +475,40 @@ def build_poset(family: str, n: int, k: int) -> BruhatPoset:
 
     poset = BruhatPoset(family, n, k)
     coding = _coding(family, n, k)
-    ground, partners, labels = coding.ground, coding.partners, coding.labels
-    size = len(ground)
-    # on codes: a queued node carries a member of its class, its heap (class
-    # invariant, so any member's) and its inversions as a mask over labels;
-    # heaps maps each class's below masks to its key.  rho_min, the standard
-    # order, is least in its class and inverts nothing
-    start, seq = rho_min(family, n, k), list(range(size))
+    partners, labels, size = coding.partners, coding.labels, len(coding.ground)
+    # a queued node carries a member of its class and its heap (class
+    # invariant, so any member's); heaps maps each class's below masks to its
+    # id.  The standard order is least in its class and inverts nothing
+    seq = list(range(size))
     below = _down(partners, seq)
-    poset.min_key = start.seq
-    poset.nodes[start.seq] = PosetNode(start, frozenset(), 0)
-    heaps = {tuple(below): start.seq}
-    queue = deque([(start.seq, seq, below, _down(partners, seq[::-1]), 0)])
+    poset.nodes.append(PosetNode(tuple(seq), 0))
+    heaps, canons = {tuple(below): 0}, {tuple(seq)}
+    queue = deque([(0, seq, below, _down(partners, seq[::-1]))])
     while queue:
-        key, seq, below, above, inv_bits = queue.popleft()
-        node = poset.nodes[key]
+        src, seq, below, above = queue.popleft()
+        inv = poset.nodes[src].inv
         pos = _slots(seq)
-        for i in _class_flips(labels, below, above, inv_bits):
-            K, comps = labels[i]
-            member, first, last = _flip_span(seq, pos, below, comps)
+        for i in _class_flips(labels, below, above, inv):
+            member, first, last = _flip_span(seq, pos, below, labels[i][1])
             flipped = _down(partners, member, first, below)
             heap = tuple(flipped)
             dst = heaps.get(heap)
             if dst is None:
-                dst = tuple([ground[c] for c in _canonical(flipped)])
-                if dst in poset.nodes:
+                canon = tuple(_canonical(flipped))
+                if canon in canons:
                     raise RuntimeError(
-                        f"a new heap at rank {node.rank + 1} has the canonical "
-                        f"form of a known class")
+                        f"a new heap at rank {inv.bit_count() + 1} has the "
+                        f"canonical form of a known class")
                 if len(poset.nodes) >= max_nodes:
                     raise PosetOverflowError(
                         f"poset exceeded {max_nodes} nodes (BRUHAT_MAX_NODES) "
-                        f"at rank {node.rank + 1}")
-                heaps[heap] = dst
-                poset.nodes[dst] = PosetNode(TotalOrder(family, n, k, dst),
-                                             node.inv | {K}, node.rank + 1)
+                        f"at rank {inv.bit_count() + 1}")
+                dst = heaps[heap] = len(poset.nodes)
+                canons.add(canon)
+                poset.nodes.append(PosetNode(canon, inv | 1 << i))
                 queue.append((dst, member, flipped,
-                              _down(partners, member[::-1], size - 1 - last, above),
-                              inv_bits | 1 << i))
-            poset.edges.append((key, dst, K))
+                              _down(partners, member[::-1], size - 1 - last, above)))
+            poset.edges.append((src, dst, i))
     return poset
 
 
@@ -513,20 +520,23 @@ class ExtremaReport:
 
 
 def check_extrema(p: BruhatPoset) -> ExtremaReport:
-    """Unique minimum, unique maximum, and gradedness of the flip poset."""
-    full = p.full_inv
-    mins = [k for k, nd in p.nodes.items() if not nd.inv]
-    maxs = [k for k, nd in p.nodes.items() if nd.inv == full]
-    has_out = {s for s, _d, _K in p.edges}
-    graded = all(
-        nd.rank == len(nd.inv) and (nd.inv == full or key in has_out)
-        for key, nd in p.nodes.items())
-    return ExtremaReport(len(mins) == 1, len(maxs) == 1, graded)
+    """Unique minimum, unique maximum, and gradedness of the flip poset: each
+    edge sets exactly its label's bit, clear in its source, and every node
+    but the top has an edge out."""
+    nodes = p.nodes
+    full = (1 << len(_coding(p.family, p.n, p.k).labels)) - 1
+    has_out = {s for s, _d, _c in p.edges}
+    steps = all(not nodes[s].inv >> c & 1 and nodes[d].inv == nodes[s].inv | 1 << c
+                for s, d, c in p.edges)
+    graded = steps and all(nd.inv == full or i in has_out for i, nd in enumerate(nodes))
+    return ExtremaReport(sum(nd.inv == 0 for nd in nodes) == 1,
+                         sum(nd.inv == full for nd in nodes) == 1, graded)
 
 
 @_gc_paused()
 def maximal_chains(p: BruhatPoset) -> list[tuple]:
-    """Edge-label sequences of all minimum-to-maximum paths, in label order.
+    """Edge-label sequences (level-(k+1) elements) of all minimum-to-maximum
+    paths, in label order.
 
     They meet at the middle rank m = R // 2 of the top rank R.  From the top
     down, each node of rank >= m lists its tails, (K,) + t over its successors
@@ -536,25 +546,22 @@ def maximal_chains(p: BruhatPoset) -> list[tuple]:
     rep = check_extrema(p)
     if not (rep.unique_min and rep.unique_max):
         raise ValueError("maximal chains need unique extrema")
-    full = p.full_inv
-    ids = {key: i for i, key in enumerate(p.nodes)}
-    rank = [nd.rank for nd in p.nodes.values()]
-    top = next(ids[key] for key, nd in p.nodes.items() if nd.inv == full)
-    succ: list[list] = [[] for _ in ids]
-    label_code = _coding(p.family, p.n, p.k).label_code
-    for s, d, K in sorted(p.edges, key=lambda e: label_code[e[2]]):
-        succ[ids[s]].append((ids[d], K))
+    labels = _coding(p.family, p.n, p.k).labels
+    rank = [nd.rank for nd in p.nodes]
+    top = rank.index(len(labels))
+    succ: list[list] = [[] for _ in rank]
+    for s, d, c in sorted(p.edges, key=lambda e: e[2]):
+        succ[s].append((d, labels[c][0]))
     mid = rank[top] // 2
     tails = {top: [()]}
-    for v in sorted((v for v in range(len(ids)) if mid <= rank[v] < rank[top]),
+    for v in sorted((v for v in range(len(rank)) if mid <= rank[v] < rank[top]),
                     key=rank.__getitem__, reverse=True):
         tails[v] = [(K,) + t for d, K in succ[v] for t in tails[d]]
-    start = ids[p.min_key]
-    if rank[start] >= mid:      # top rank 0 or 1
-        return tails[start]
+    if rank[0] >= mid:      # top rank 0 or 1
+        return tails[0]
     chains = []
     path: list = []
-    stack = [iter(succ[start])]
+    stack = [iter(succ[0])]
     while stack:
         for dst, K in stack[-1]:
             if rank[dst] == mid:
@@ -674,37 +681,23 @@ def chains_bijection_check(p: BruhatPoset, chains: list[tuple]) -> bool:
 
 def inv_injectivity_check(p: BruhatPoset) -> bool:
     """Distinct classes carry distinct inversion sets."""
-    return len({nd.inv for nd in p.nodes.values()}) == len(p.nodes)
+    return len({nd.inv for nd in p.nodes}) == len(p.nodes)
 
 
 # ---------------------------------------------------------------------------
 # export
 # ---------------------------------------------------------------------------
 
-def _node_ids(p: BruhatPoset) -> dict:
-    return {key: i for i, key in enumerate(p.nodes)}
-
-
 def poset_to_json_obj(p: BruhatPoset) -> dict:
-    ids = _node_ids(p)
-    return {
-        "family": p.family,
-        "n": p.n,
-        "k": p.k,
-        "nodes": [
-            {
-                "id": ids[key],
-                "canon": [format_element(e) for e in nd.canon.seq],
-                "inv": sorted((format_element(K) for K in nd.inv)),
-                "rank": nd.rank,
-            }
-            for key, nd in p.nodes.items()
-        ],
-        "edges": [
-            {"src": ids[s], "dst": ids[d], "label": format_element(K)}
-            for s, d, K in p.edges
-        ],
-    }
+    coding = _coding(p.family, p.n, p.k)
+    ground, labels = coding.ground, coding.labels
+    return {"family": p.family, "n": p.n, "k": p.k,
+            "nodes": [{"id": i, "canon": [format_element(ground[c]) for c in nd.canon],
+                       "inv": sorted(format_element(K)
+                                     for K in _mask_labels(labels, nd.inv)),
+                       "rank": nd.rank} for i, nd in enumerate(p.nodes)],
+            "edges": [{"src": s, "dst": d, "label": format_element(labels[c][0])}
+                      for s, d, c in p.edges]}
 
 
 def poset_to_json(p: BruhatPoset) -> str:
@@ -730,23 +723,23 @@ def poset_from_json_obj(obj: dict) -> dict:
 
 def poset_comparable(p: BruhatPoset) -> dict:
     """Same canonical shape as poset_from_json_obj, straight from a poset."""
-    return {
-        "family": p.family,
-        "n": p.n,
-        "k": p.k,
-        "nodes": frozenset((nd.canon.seq, nd.inv, nd.rank) for nd in p.nodes.values()),
-        "edges": frozenset((s, d, K) for s, d, K in p.edges),
-    }
+    coding = _coding(p.family, p.n, p.k)
+    canon = [tuple([coding.ground[c] for c in nd.canon]) for nd in p.nodes]
+    return {"family": p.family, "n": p.n, "k": p.k,
+            "nodes": frozenset((seq, frozenset(_mask_labels(coding.labels, nd.inv)),
+                                nd.rank) for seq, nd in zip(canon, p.nodes)),
+            "edges": frozenset((canon[s], canon[d], coding.labels[c][0])
+                               for s, d, c in p.edges)}
 
 
 def poset_to_dot(p: BruhatPoset) -> str:
     """DOT text: nodes labeled by rank and canonical sequence, edges by label."""
-    ids = _node_ids(p)
+    coding = _coding(p.family, p.n, p.k)
     lines = ["digraph bruhat {", "  rankdir=BT;"]
-    for key, nd in p.nodes.items():
-        seq = " ".join(format_element(e) for e in nd.canon.seq)
-        lines.append(f'  n{ids[key]} [label="rank {nd.rank}: {seq}"];')
-    for s, d, K in p.edges:
-        lines.append(f'  n{ids[s]} -> n{ids[d]} [label="{format_element(K)}"];')
+    for i, nd in enumerate(p.nodes):
+        seq = " ".join(format_element(coding.ground[c]) for c in nd.canon)
+        lines.append(f'  n{i} [label="rank {nd.rank}: {seq}"];')
+    for s, d, c in p.edges:
+        lines.append(f'  n{s} -> n{d} [label="{format_element(coding.labels[c][0])}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

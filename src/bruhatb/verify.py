@@ -31,9 +31,10 @@ from .core import (
     star,
 )
 from .orders import (
-    OrderClass,
     TotalOrder,
+    _class_flips,
     _coding,
+    _down,
     _placed,
     admissible_sequences,
     canonical_form,
@@ -550,11 +551,12 @@ def nonmaximal_has_flip(p) -> dict:
     """Each class of p = build_poset("B", n, 2) but the top has an uninverted flip."""
     if p.family != "B" or p.k != 2:
         raise ValueError(f"needs a type B level-2 poset, got {p.family}({p.n},{p.k})")
-    full = p.full_inv
-    stuck = [nd.canon for nd in p.nodes.values() if nd.inv != full
-             and not class_flip_candidates(OrderClass(nd.canon)) - nd.inv]
+    coding = _coding("B", p.n, 2)
+    stuck = [i for i, nd in enumerate(p.nodes) if nd.rank < len(coding.labels)
+             and not _class_flips(coding.labels, _down(coding.partners, nd.canon),
+                                  _down(coding.partners, nd.canon[::-1]), skip=nd.inv)]
     return _report("nonmaximal-class-has-flip", {"n": p.n, "k": 2}, not stuck,
-                   {"canon": str(stuck[0])} if stuck else None)
+                   {"canon": str(p.order(stuck[0]))} if stuck else None)
 
 
 def run_suite(name: str, n: int = 3) -> list[dict]:

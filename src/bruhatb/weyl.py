@@ -223,8 +223,12 @@ def order_to_perm(rho: TotalOrder) -> SignedPermutation:
     """
     if rho.k != 1:
         raise ValueError("only level-1 orderings correspond to permutations")
-    coding, _seq, pos = _placed(rho)
-    offset = len(coding.ground) - rho.n
+    return _slots_to_perm(_placed(rho)[2], rho.n)
+
+
+def _slots_to_perm(pos: list[int], n: int) -> SignedPermutation:
+    """order_to_perm of the level-1 ordering with pos[c] the slot of code c."""
+    offset = len(pos) - n
     label = [t - offset + (t >= offset) for t in pos]
     for j in range(offset):
         if label[offset - 1 - j] != -label[offset + j]:
@@ -288,20 +292,16 @@ def _iso_check(poset: BruhatPoset) -> bool:
     that family's weak order."""
     n, family = poset.n, poset.family
     weak = weak_order_poset(n) if family == "B" else weak_order_poset_a(n)
-    window = {}
-    for key, node in poset.nodes.items():
-        pi = order_to_perm(node.canon)
-        window[key] = pi
-        if weak.ranks[pi.images] != node.rank:
-            return False
-    if len({pi.images for pi in window.values()}) != len(weak.ranks):
+    window = [_slots_to_perm(_slots(nd.canon), n) for nd in poset.nodes]
+    if len({pi.images for pi in window}) != len(weak.ranks) or any(
+            weak.ranks[pi.images] != nd.rank for pi, nd in zip(window, poset.nodes)):
         return False
     reflections = simple_reflections(family, n)
+    labels = _coding(family, n, 1).labels
     mapped = set()
-    for src, dst, K in poset.edges:
-        coding, seq, pos = _placed(poset.nodes[src].canon)
-        last = _flip_runs(seq, pos, coding.labels[coding.label_code[K]][1])
-        gen = last - (len(coding.ground) - n)
+    for src, dst, c in poset.edges:
+        seq = list(poset.nodes[src].canon)
+        gen = _flip_runs(seq, _slots(seq), labels[c][1]) - (len(seq) - n)
         if gen not in reflections or reflections[gen].compose(window[src]) != window[dst]:
             return False
         mapped.add((window[src].images, window[dst].images, gen))

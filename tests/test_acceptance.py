@@ -101,9 +101,9 @@ def test_criterion_3_type_b_level2_extrema():
                    for t in enumerate_admissible("B", n, 2)}
         assert len(classes) == len(p.nodes)
         # the flip test build_poset runs against class enumeration, per class
-        for node in p.nodes.values():
-            direct = class_flip_candidates_oracle(node.canon)
-            assert class_flip_candidates(canonical_form(node.canon)) == direct
+        for rho in map(p.order, range(len(p.nodes))):
+            direct = class_flip_candidates_oracle(rho)
+            assert class_flip_candidates(canonical_form(rho)) == direct
     assert recorded[2] == (2, 1)
     assert recorded[3] == (14, 2)
     elapsed = time.monotonic() - start

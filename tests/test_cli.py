@@ -201,3 +201,14 @@ class TestUsage:
                        BRUHAT_MAX_NODES="5")
         assert proc.returncode == 2
         assert "BRUHAT_MAX_NODES" in proc.stderr
+
+    def test_internal_error_exits_3(self, monkeypatch, capsys):
+        # exit 1 means a check failed, so an unexpected exception gets its own
+        import bruhatb.cli as cli
+
+        def broken(*args):
+            raise RuntimeError("a new heap has the canonical form of a known class")
+        monkeypatch.setattr(cli, "build_poset", broken)
+        assert main(["poset", "--family", "B", "--n", "3", "--k", "2"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: internal: RuntimeError: a new heap")

@@ -1,5 +1,6 @@
 """Admissibility, inversion sets, flips, classes, and the flip posets."""
 
+import dataclasses
 import gc
 import hashlib
 import itertools
@@ -465,8 +466,8 @@ class TestEnumerateAdmissible:
 class TestBuildPoset:
     def test_two_node_poset(self):
         p = build_poset("B", 2, 2)
-        assert len(p.nodes) == 2 and len(p.edges) == 1
-        assert p.edges[0][2] == star((2, 1))
+        assert len(p.nodes) == 2 and p.edges == [(0, 1, 0)]
+        assert _coding("B", 2, 2).labels[0][0] == star((2, 1))
 
     def test_type_b_level1_counts(self):
         assert len(build_poset("B", 2, 1).nodes) == 8
@@ -477,12 +478,13 @@ class TestBuildPoset:
             assert len(build_poset("A", n, 1).nodes) == factorial(n)
 
     def test_edges_raise_rank_and_toggle_inv(self):
-        for family, n, k in [("A", 3, 2), ("B", 2, 2), ("B", 3, 2), ("B", 2, 1)]:
+        for family, n, k in [("A", 3, 2), ("B", 2, 2), ("B", 2, 1),
+                             *TestExport.GOLDEN_JSON]:
             p = build_poset(family, n, k)
-            for src, dst, K in p.edges:
+            for src, dst, c in p.edges:
+                assert p.nodes[dst].inv == p.nodes[src].inv | 1 << c
+                assert not p.nodes[src].inv >> c & 1
                 assert p.nodes[dst].rank == p.nodes[src].rank + 1
-                assert p.nodes[dst].inv == p.nodes[src].inv | {K}
-                assert K not in p.nodes[src].inv
 
     def test_acyclic_by_rank(self):
         p = build_poset("B", 3, 2)
@@ -507,6 +509,45 @@ class TestBuildPoset:
         monkeypatch.setenv("BRUHAT_MAX_NODES", "10")
         with pytest.raises(PosetOverflowError, match=r"exceeded 10 nodes .* at rank 3$"):
             build_poset("B", 4, 2)
+
+
+class TestPosetCertificates:
+    """The certificates fail on copies of built posets with one fault."""
+
+    def test_build_makes_no_element_nodes(self, monkeypatch):
+        made = []
+        init = TotalOrder.__post_init__
+        monkeypatch.setattr(TotalOrder, "__post_init__",
+                            lambda self: made.append(self) or init(self))
+        p = build_poset("B", 3, 2)
+        assert len(made) <= 1
+        assert [f.name for f in dataclasses.fields(p.nodes[0])] == ["canon", "inv"]
+        assert all(type(nd.inv) is int and all(type(c) is int for c in nd.canon)
+                   for nd in p.nodes)
+        assert p.nodes[0].canon == tuple(range(len(p.nodes[0].canon)))
+
+    def test_duplicated_mask_is_not_injective(self):
+        p = build_poset("B", 3, 2)
+        nodes = list(p.nodes)
+        nodes[2] = dataclasses.replace(nodes[2], inv=nodes[1].inv)
+        assert inv_injectivity_check(p)
+        assert not inv_injectivity_check(dataclasses.replace(p, nodes=nodes))
+
+    def test_edge_label_set_in_source_is_not_graded(self):
+        p = build_poset("B", 3, 2)
+        edges = list(p.edges)
+        j = next(j for j, (s, _d, _c) in enumerate(edges) if p.nodes[s].inv)
+        s, d, _c = edges[j]
+        edges[j] = (s, d, p.nodes[s].inv.bit_length() - 1)
+        rep = check_extrema(dataclasses.replace(p, edges=edges))
+        assert not rep.graded and rep.unique_min and rep.unique_max
+
+    def test_second_empty_mask_is_not_unique_min(self):
+        p = build_poset("B", 3, 2)
+        nodes = list(p.nodes)
+        nodes[1] = dataclasses.replace(nodes[1], inv=0)
+        rep = check_extrema(dataclasses.replace(p, nodes=nodes))
+        assert not rep.unique_min and rep.unique_max
 
 
 class TestExtremaAndChains:
@@ -558,9 +599,10 @@ class TestExtremaAndChains:
     def test_chains_match_recursive_reference(self, family, n, k):
         p = build_poset(family, n, k)
         out_edges = {}
-        for s, d, K in p.edges:
-            out_edges.setdefault(s, []).append((K, d))
-        top = max(p.nodes, key=lambda key: p.nodes[key].rank)
+        labels = _coding(family, n, k).labels
+        for s, d, c in p.edges:
+            out_edges.setdefault(s, []).append((labels[c][0], d))
+        top = max(range(len(p.nodes)), key=lambda i: p.nodes[i].rank)
         # labels in standard order: type A subsets lexicographically
         label_key = (lambda K: K) if family == "A" else standard_key
 
@@ -572,7 +614,8 @@ class TestExtremaAndChains:
                                        key=lambda e: label_key(e[0]))
                     for rest in paths(d)]
 
-        assert maximal_chains(p) == paths(p.min_key)
+        assert p.nodes[0].inv == 0
+        assert maximal_chains(p) == paths(0)
 
     # sha256 of the `bruhatb chains` body, one chain per line, pinned from
     # the depth-first listing that preceded the middle-rank meet
@@ -589,7 +632,7 @@ class TestExtremaAndChains:
     def test_golden_chains(self, family, n, k):
         p = build_poset(family, n, k)
         chains = maximal_chains(p)
-        name = {K: format_element(K) for _s, _d, K in p.edges}
+        name = {K: format_element(K) for c in chains for K in c}
         text = "\n".join(" ".join(map(name.__getitem__, c)) for c in chains)
         assert (len(chains), hashlib.sha256(text.encode()).hexdigest()) == \
             self.GOLDEN_CHAINS[family, n, k]

@@ -1,5 +1,6 @@
 """Crossing, blocking, escape witnesses, and the obstruction case machinery."""
 
+import dataclasses
 import functools
 import hashlib
 import itertools
@@ -11,6 +12,7 @@ from bruhatb.core import enumerate_B, format_element, normalize_orbit, packet_B,
 from bruhatb.orders import (
     OrderClass,
     TotalOrder,
+    _coding,
     build_poset,
     canonical_form,
     class_flip_candidates,
@@ -306,9 +308,10 @@ class TestHeapAgainstOracle:
         ("A", 4, 2), ("A", 5, 2), ("A", 6, 4),
         ("B", 2, 1), ("B", 3, 1), ("B", 3, 2), ("B", 4, 2)])
     def test_class_flip_candidates_every_class(self, family, n, k):
-        for node in build_poset(family, n, k).nodes.values():
-            assert class_flip_candidates(OrderClass(node.canon)) == \
-                class_flip_candidates_oracle(node.canon), str(node.canon)
+        p = build_poset(family, n, k)
+        for rho in map(p.order, range(len(p.nodes))):
+            assert class_flip_candidates(OrderClass(rho)) == \
+                class_flip_candidates_oracle(rho), str(rho)
 
     def test_class_flip_candidates_any_ordering(self):
         # inadmissible orderings too, where a packet chain's ends need not be
@@ -320,8 +323,8 @@ class TestHeapAgainstOracle:
 
     def test_blocks_every_case_rank3(self):
         cases = 0
-        for node in build_poset("B", 3, 2).nodes.values():
-            rho = node.canon
+        p = build_poset("B", 3, 2)
+        for rho in map(p.order, range(len(p.nodes))):
             for K in enumerate_B(3, 3):
                 S = packet_B(K).elements
                 for x in rho.seq:
@@ -505,6 +508,21 @@ class TestClassification:
     def test_nonmaximal_always_has_flip(self):
         assert nonmaximal_has_flip(build_poset("B", 2, 2))["result"]
         assert nonmaximal_has_flip(build_poset("B", 3, 2))["result"]
+
+    def test_nonmaximal_names_a_stuck_class(self):
+        # a copy of B(3,2) in which a non-top class inverts every label but
+        # one that is blocked in it: that class has no flip left
+        p = build_poset("B", 3, 2)
+        labels = [K for K, _comps in _coding("B", 3, 2).labels]
+        full = (1 << len(labels)) - 1
+        i, c = next((i, c) for i, nd in enumerate(p.nodes) if nd.inv != full
+                    for c, K in enumerate(labels)
+                    if K not in class_flip_candidates(OrderClass(p.order(i))))
+        nodes = list(p.nodes)
+        nodes[i] = dataclasses.replace(nodes[i], inv=full & ~(1 << c))
+        rep = nonmaximal_has_flip(dataclasses.replace(p, nodes=nodes))
+        assert not rep["result"]
+        assert rep["counterexample"] == {"canon": str(p.order(i))}
 
     @pytest.mark.parametrize("family,n,k", [("B", 3, 1), ("A", 4, 2)])
     def test_nonmaximal_needs_type_b_level_2(self, family, n, k):
