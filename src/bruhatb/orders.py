@@ -460,7 +460,7 @@ def build_poset(family: str, n: int, k: int) -> BruhatPoset:
     of linear extensions of its heap, so an edge finds its class by the flipped
     member's below masks, recomputed from the first slot the flip moves; the
     canonical form is computed once, when the class is new.  The node budget
-    is BRUHAT_MAX_NODES (default DEFAULT_MAX_NODES).
+    is BRUHAT_MAX_NODES, a positive integer (default DEFAULT_MAX_NODES).
     """
     if family == "A":
         if not (1 <= k <= n):
@@ -471,7 +471,9 @@ def build_poset(family: str, n: int, k: int) -> BruhatPoset:
                 f"type B flip poset is defined for k in {{1, 2}}, got k={k}")
     else:
         raise ValueError(f"unknown family {family!r}")
-    max_nodes = int(os.environ.get("BRUHAT_MAX_NODES", DEFAULT_MAX_NODES))
+    budget = os.environ.get("BRUHAT_MAX_NODES", str(DEFAULT_MAX_NODES))
+    if not budget.strip().isdecimal() or (max_nodes := int(budget)) < 1:
+        raise ValueError(f"BRUHAT_MAX_NODES must be a positive integer, got {budget!r}")
 
     poset = BruhatPoset(family, n, k)
     coding = _coding(family, n, k)
@@ -656,27 +658,38 @@ def admissible_orderings_filter(family: str, n: int, k: int) -> list[TotalOrder]
     return out
 
 
-@_gc_paused()
-def chains_bijection_check(p: BruhatPoset, chains: list[tuple]) -> bool:
-    """Chain labels are admissible level-(k+1) orders, one chain per order.
+def count_chains(p: BruhatPoset) -> int:
+    """The number of maximal chains of p: paths from node 0 to the top (every
+    label inverted), summed over the rank-raising edges from the top down."""
+    top = len(_coding(p.family, p.n, p.k).labels)
+    paths = [int(nd.rank == top) for nd in p.nodes]
+    for s, d, _c in sorted(p.edges, key=lambda e: -p.nodes[e[0]].rank):
+        paths[s] += paths[d]
+    return paths[0]
 
-    chains is the listing maximal_chains(p).  A chain is read as its label
-    indices.  The labels of _coding(family, n, k) are listed in the standard
-    order of level k + 1, so these are the codes of a level-(k+1) sequence,
-    and the chains must be, once each, the orderings that
-    admissible_sequences lists from the level-(k+1) packets (in type A at
-    k = n, only the empty ordering of the empty level n + 1).
-    """
+
+@_gc_paused()
+def chains_bijection_check(p: BruhatPoset) -> bool:
+    """Maximal chains biject onto the admissible level-(k+1) orderings.  The
+    labels of _coding(family, n, k) are level k + 1 in standard order, so a
+    chain's label codes are a level-(k+1) sequence.  It holds when no node has
+    two out-edges with one label, every ordering of admissible_sequences walks
+    from node 0 to the top (an injection), and they number count_chains(p)."""
     coding = _coding(p.family, p.n, p.k)
     upper = _coding(p.family, p.n, p.k + 1).labels if coding.labels else ()
-    left = set(admissible_sequences(range(len(coding.labels)),
-                                    [comps for _K, comps in upper]))
-    for chain in chains:    # each chain takes its own ordering, and only once
-        try:
-            left.remove(tuple([coding.label_code.get(K, -1) for K in chain]))
-        except KeyError:
+    step: list[dict] = [{} for _ in p.nodes]    # node -> {label code: successor}
+    for s, d, c in p.edges:
+        step[s][c] = d
+    orderings = admissible_sequences(range(len(coding.labels)),
+                                     [comps for _K, comps in upper])
+    for seq in orderings:
+        v = 0
+        for c in seq:
+            if (v := step[v].get(c)) is None:
+                return False
+        if p.nodes[v].rank != len(coding.labels):
             return False
-    return not left
+    return sum(map(len, step)) == len(p.edges) and len(orderings) == count_chains(p)
 
 
 def inv_injectivity_check(p: BruhatPoset) -> bool:

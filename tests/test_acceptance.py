@@ -58,7 +58,7 @@ def test_criterion_1_type_a_flip_posets():
         posets[n, k] = p
         assert _extrema_ok(p), (n, k)
         assert inv_injectivity_check(p), (n, k)
-        assert chains_bijection_check(p, maximal_chains(p)), (n, k)
+        assert chains_bijection_check(p), (n, k)
     assert len(posets[3, 1].nodes) == factorial(3) == 6
     assert len(posets[4, 1].nodes) == factorial(4) == 24
     for n in (3, 4):
@@ -120,7 +120,11 @@ def test_criterion_4_chain_label_bijection():
         family, n, k = family_n_k
         p = build_poset(family, n, k)
         chains = maximal_chains(p)
-        assert chains_bijection_check(p, chains), family_n_k
+        assert chains_bijection_check(p), family_n_k
+        # the reference: the listed chains are the admissible orderings one
+        # level up, once each
+        assert sorted(chains, key=str) == sorted(
+            (rho.seq for rho in enumerate_admissible(family, n, k + 1)), key=str)
         sizes[n, k] = len(chains)
     assert sizes[2, 1] == len(enumerate_admissible("B", 2, 2)) == 2
     assert sizes[2, 2] == len(enumerate_admissible("B", 2, 3)) == 1

@@ -201,6 +201,10 @@ class TestUsage:
                        BRUHAT_MAX_NODES="5")
         assert proc.returncode == 2
         assert "BRUHAT_MAX_NODES" in proc.stderr
+        proc = run_cli("poset", "--family", "B", "--n", "3", "--k", "1",
+                       BRUHAT_MAX_NODES="abc")
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.startswith("error: BRUHAT_MAX_NODES must be a positive integer")
 
     def test_internal_error_exits_3(self, monkeypatch, capsys):
         # exit 1 means a check failed, so an unexpected exception gets its own

@@ -33,6 +33,7 @@ from bruhatb.orders import (
     class_flip_candidates,
     class_members,
     commutes,
+    count_chains,
     dependence_order,
     enumerate_admissible,
     flip_candidates,
@@ -402,9 +403,9 @@ class TestHeapFastPaths:
                                 [packet_flip(rho, K).seq for K in sorted(cands, key=str)],
                                 [crosses(rho, a, b)
                                  for a, b in itertools.combinations(seq, 2)]))
-                chains = maximal_chains(p)
-                out.append(chains_bijection_check(p, chains))
+                out.append(chains_bijection_check(p))
                 if cfg[2] == 1:
+                    chains = maximal_chains(p)
                     out.append([chain_to_word(c, "B", 3).letters for c in chains])
             out.append(iso_check(3))
             return out
@@ -477,6 +478,28 @@ class TestBuildPoset:
         for n in (2, 3, 4):
             assert len(build_poset("A", n, 1).nodes) == factorial(n)
 
+    # The level-2 classes are the commutation classes of the reduced words of
+    # the longest element, derived here with no flip: words joined by swaps of
+    # adjacent commuting letters (|a - b| >= 2), merged by union-find.  B(4,2)
+    # and A(5,2) are the benchmark's pinned 330 and 62 nodes.
+    @pytest.mark.parametrize("family,n,classes", [("B", 2, 2), ("B", 3, 14), ("B", 4, 330),
+                                                  ("A", 4, 8), ("A", 5, 62)])
+    def test_level2_nodes_are_commutation_classes(self, family, n, classes):
+        index = {w: i for i, w in enumerate(sorted(reduced_words_brute(family, n)))}
+        parent = list(range(len(index)))
+
+        def root(i):
+            while parent[i] != i:
+                parent[i] = parent[parent[i]]
+                i = parent[i]
+            return i
+        for w, i in index.items():
+            for t in range(len(w) - 1):
+                if abs(w[t] - w[t + 1]) >= 2:
+                    parent[root(i)] = root(index[w[:t] + (w[t + 1], w[t]) + w[t + 2:]])
+        assert len({root(i) for i in parent}) == classes
+        assert len(build_poset(family, n, 2).nodes) == classes
+
     def test_edges_raise_rank_and_toggle_inv(self):
         for family, n, k in [("A", 3, 2), ("B", 2, 2), ("B", 2, 1),
                              *TestExport.GOLDEN_JSON]:
@@ -501,6 +524,14 @@ class TestBuildPoset:
         monkeypatch.setenv("BRUHAT_MAX_NODES", "10")
         with pytest.raises(PosetOverflowError):
             build_poset("B", 3, 1)
+
+    @pytest.mark.parametrize("budget", ["abc", "0", "-5", ""])
+    def test_node_budget_must_be_positive(self, budget, monkeypatch):
+        # "0" used to build the 1-node A(2,2), and "-5" reported "exceeded -5 nodes"
+        monkeypatch.setenv("BRUHAT_MAX_NODES", budget)
+        with pytest.raises(ValueError, match=f"BRUHAT_MAX_NODES must be a positive "
+                                             f"integer, got '{budget}'"):
+            build_poset("A", 2, 2)
 
     def test_node_budget_names_rank(self, monkeypatch):
         from bruhatb.orders import PosetOverflowError
@@ -578,7 +609,9 @@ class TestExtremaAndChains:
     # Combin. 5, 1984) and of the n x n square for B_n (Haiman, Discrete
     # Math. 99, 1992).
     LEVEL1_CHAINS = {("A", 3): 2, ("A", 4): 16, ("A", 5): 768, ("A", 6): 292864,
-                     ("B", 2): 2, ("B", 3): 42, ("B", 4): 24024}
+                     ("B", 2): 2, ("B", 3): 42, ("B", 4): 24024,
+                     ("B", 5): 701149020, ("A", 7): 1100742656}
+    LISTED = 292864     # the largest count that maximal_chains also lists here
 
     @pytest.mark.parametrize("family,n", list(LEVEL1_CHAINS))
     def test_level1_chains_count_standard_tableaux(self, family, n):
@@ -588,7 +621,10 @@ class TestExtremaAndChains:
                      for i in range(len(shape)) for j in range(shape[i]))
         expected = self.LEVEL1_CHAINS[family, n]
         assert factorial(sum(shape)) // hooks == expected
-        assert len(maximal_chains(build_poset(family, n, 1))) == expected
+        p = build_poset(family, n, 1)
+        assert count_chains(p) == expected
+        if expected <= self.LISTED:
+            assert len(maximal_chains(p)) == expected
 
     # the chains meet at rank R // 2 of the top rank R: A(3,3) and B(2,2)
     # (R = 0, 1) have no walk below it; the rest have odd and even R up to 16
@@ -644,11 +680,19 @@ class TestExtremaAndChains:
         # at k = n in type A: one class, one empty chain, and one (empty)
         # admissible ordering of the empty level-(n+1) ground set
         p = build_poset(family, n, k)
-        assert chains_bijection_check(p, maximal_chains(p))
+        assert chains_bijection_check(p)
+        # the reference: the listed chains, as label codes, are each
+        # admissible ordering one level up, once each
+        coding = _coding(family, n, k)
+        upper = _coding(family, n, k + 1).labels if coding.labels else ()
+        listed = [tuple(coding.label_code[K] for K in c) for c in maximal_chains(p)]
+        assert len(set(listed)) == len(listed) == count_chains(p)
+        assert set(listed) == set(admissible_sequences(
+            range(len(coding.labels)), [comps for _K, comps in upper]))
 
     @pytest.mark.parametrize("family,n,k", A_CASES + B_CASES + [("A", 4, 2)])
     def test_label_index_is_upper_code(self, family, n, k):
-        # chains_bijection_check reads a label's index as its level-(k+1) code
+        # a chain's label indices are the codes of a level-(k+1) ordering
         labels = tuple(K for K, _comps in _coding(family, n, k).labels)
         assert labels == tuple(ref_packets(family, n, k))
         if labels:
@@ -656,27 +700,32 @@ class TestExtremaAndChains:
 
     @pytest.mark.parametrize("family,n,k", [("B", 3, 1), ("A", 4, 2)])
     def test_chain_label_bijection_rejects_perturbed_chains(self, family, n, k):
+        # each copy of the poset perturbs its chains through one edge
         p = build_poset(family, n, k)
-        chains = maximal_chains(p)
-        assert len(chains) > 1 and chains_bijection_check(p, chains)
-        # a chain with two adjacent labels swapped that share a packet one
-        # level up, which has three or more members: it becomes inadmissible
-        upper = ref_packets(family, n, k + 1)
-        at, t = next((i, t) for i, c in enumerate(chains) for t in range(len(c) - 1)
-                     if not commutes(c[t], c[t + 1], family, n, k + 1))
-        c = chains[at]
-        swapped = c[:t] + (c[t + 1], c[t]) + c[t + 2:]
-        assert None in {ref_reversed(TotalOrder(family, n, k + 1, swapped), packet)
-                        for packet in upper.values()}
-        replaced = (c[1],) + c[1:]
+        assert count_chains(p) > 1 and chains_bijection_check(p)
+        labels = len(_coding(family, n, k).labels)
+        top = next(i for i, nd in enumerate(p.nodes) if nd.rank == labels)
+        s, d, c = p.edges[-1]
+        used = {c2 for s2, _d2, c2 in p.edges if s2 == s}
+        free = next(c2 for c2 in range(labels) if c2 not in used)
+        used0 = {c2 for s2, _d2, c2 in p.edges if s2 == 0}
+        free0 = next(c2 for c2 in range(labels) if c2 not in used0)
+        twin = next(i for i in range(s) if p.nodes[i].rank == p.nodes[s].rank)
         perturbed = {
-            "dropped": chains[:-1],
-            "duplicated": chains + chains[:1],
-            "swapped": chains[:at] + [swapped] + chains[at + 1:],
-            "replaced": chains[:at] + [replaced] + chains[at + 1:],
+            "dropped": p.edges[:-1],
+            "duplicated": p.edges + p.edges[-1:],
+            "relabelled": p.edges[:-1] + [(s, d, free)],
+            "extra": p.edges + [(0, top, free0)],
+            "redirected": p.edges[:-1] + [(s, twin, c)],
         }
-        for name, bad in perturbed.items():
-            assert not chains_bijection_check(p, bad), name
+        for name, edges in perturbed.items():
+            assert not chains_bijection_check(dataclasses.replace(p, edges=edges)), name
+        # the extra edge keeps every walk and adds one chain, so only the counts
+        # see it; the redirected one keeps the count, and walks end below the top
+        counts = {name: count_chains(dataclasses.replace(p, edges=edges))
+                  for name, edges in perturbed.items()}
+        assert (d, counts["extra"], counts["redirected"]) == \
+            (top, count_chains(p) + 1, count_chains(p))
 
     @pytest.mark.parametrize("family,n,k",
                              [("B", 2, 1), ("B", 3, 1), ("B", 2, 2),
@@ -694,8 +743,7 @@ class TestGcPause:
         "enumerate_admissible": lambda: enumerate_admissible("B", 2, 2),
         "admissible_sequences": lambda: admissible_sequences(
             range(3), [(((0, 1, 2), 0b111),)]),
-        "chains_bijection_check": lambda: chains_bijection_check(
-            build_poset("B", 2, 2), [(star((2, 1)),)]),
+        "chains_bijection_check": lambda: chains_bijection_check(build_poset("B", 2, 2)),
     }
     # a callee inside each paused block, patched to raise
     CALLEES = {

@@ -532,7 +532,7 @@ class TestClassification:
 
 class TestMsTypeASuite:
     @pytest.mark.parametrize("n", [2, 4])
-    def test_each_poset_built_and_listed_once(self, n, monkeypatch):
+    def test_each_poset_built_once_and_never_listed(self, n, monkeypatch):
         from bruhatb import orders
         built, listed = [], []
 
@@ -548,7 +548,7 @@ class TestMsTypeASuite:
         reports = run_suite("ms-typeA", n)
         configs = [("A", nn, k) for nn in range(3, n + 1)
                    for k in range(1, min(nn - 1, 3) + 1)] or [("A", n, 1)]
-        assert built == listed == configs
+        assert built == configs and listed == []
         assert reports[-1]["check"] == "reduced-word-count"
         assert all(r["result"] for r in reports)
 
@@ -572,7 +572,8 @@ class TestAllSuite:
         reports = run_suite("all", 3)
         configs = [("A", 3, 1), ("A", 3, 2), ("B", 2, 1), ("B", 2, 2),
                    ("B", 3, 1), ("B", 3, 2)]
-        assert sorted(built) == sorted(listed) == configs
+        # only the chain-word tables list chains, one listing per rank
+        assert sorted(built) == configs and listed == [("B", 2, 1), ("B", 3, 1)]
         assert all(r["result"] for r in reports)
 
     # sha256 of [(check, params, result)] for run_suite("all", 3) in order, as
