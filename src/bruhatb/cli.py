@@ -112,8 +112,7 @@ def _cmd_chains(args) -> int:
 
 def _cmd_export(args) -> int:
     if args.out is None:
-        print("export needs --out", file=sys.stderr)
-        return 2
+        raise ValueError("export needs --out")
     if args.format == "text":
         args.format = "dot" if args.out.endswith(".dot") else "json"
     return _cmd_poset(args)

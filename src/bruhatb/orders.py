@@ -441,13 +441,23 @@ class BruhatPoset:
 
 @contextmanager
 def _gc_paused():
-    """Pause the process-wide cyclic GC over bulk work that creates no cycles."""
+    """Pause the process-wide cyclic GC over bulk work that creates no cycles.
+    An outermost pause (collector on) empties the young generations on entry;
+    on exit gc.freeze(); gc.unfreeze() moves what the call made to the oldest
+    generation unscanned, so no young collection walks the results and
+    reference counting still frees them.  A nonzero gc.get_freeze_count()
+    skips that move, so a caller's frozen objects are never thawed."""
     enabled = gc.isenabled()
+    if enabled:
+        gc.collect(1)
     gc.disable()
     try:
         yield
     finally:
         if enabled:
+            if not gc.get_freeze_count():
+                gc.freeze()
+                gc.unfreeze()
             gc.enable()
 
 
@@ -546,8 +556,8 @@ def maximal_chains(p: BruhatPoset) -> list[tuple]:
     successor iterators) extends each path that reaches rank m by them.
     """
     rep = check_extrema(p)
-    if not (rep.unique_min and rep.unique_max):
-        raise ValueError("maximal chains need unique extrema")
+    if not (rep.unique_min and rep.unique_max and rep.graded):
+        raise ValueError("maximal chains need unique extrema and a graded poset")
     labels = _coding(p.family, p.n, p.k).labels
     rank = [nd.rank for nd in p.nodes]
     top = rank.index(len(labels))

@@ -84,6 +84,7 @@ class TestChains:
 class TestExport:
     def test_requires_out(self, capsys):
         assert main(["export", "--family", "B", "--n", "2", "--k", "2"]) == 2
+        assert capsys.readouterr().err == "error: export needs --out\n"
 
     def test_writes_dot_file(self, tmp_path):
         out = tmp_path / "poset.dot"

@@ -1,10 +1,13 @@
 """Admissibility, inversion sets, flips, classes, and the flip posets."""
 
+import ast
 import dataclasses
 import gc
 import hashlib
+import inspect
 import itertools
 import json
+import weakref
 from math import factorial, prod
 
 import pytest
@@ -726,6 +729,10 @@ class TestExtremaAndChains:
                   for name, edges in perturbed.items()}
         assert (d, counts["extra"], counts["redirected"]) == \
             (top, count_chains(p) + 1, count_chains(p))
+        # the extra edge skips the middle rank, where maximal_chains meets; it
+        # refuses the ungraded poset rather than drop that chain
+        with pytest.raises(ValueError, match="graded"):
+            maximal_chains(dataclasses.replace(p, edges=perturbed["extra"]))
 
     @pytest.mark.parametrize("family,n,k",
                              [("B", 2, 1), ("B", 3, 1), ("B", 2, 2),
@@ -810,6 +817,44 @@ class TestGcPause:
         gc.enable()
         assert self.CALLS[outer]()
         assert seen == [False] and gc.isenabled()
+
+    def test_calls_name_every_paused_function(self):
+        # each paused function must meet the no-cycle contract above, which
+        # the promotion to the oldest generation on exit relies on
+        from bruhatb import orders
+        paused = {f.name for f in ast.walk(ast.parse(inspect.getsource(orders)))
+                  if isinstance(f, ast.FunctionDef)
+                  and any(ast.unparse(d) == "_gc_paused()" for d in f.decorator_list)}
+        assert paused == set(self.CALLS) == set(self.CALLEES)
+
+    def test_results_go_to_the_oldest_generation(self):
+        gc.enable()
+        gc.collect()
+        chains = maximal_chains(build_poset("A", 4, 1))
+        assert any(obj is chains for obj in gc.get_objects(generation=2))
+
+    def test_caller_young_cycles_are_collected_on_entry(self):
+        # else the exit would move them to the oldest generation with the results
+        class Cell:
+            pass
+        gc.enable()
+        cell = Cell()
+        cell.self = cell
+        ref = weakref.ref(cell)
+        del cell
+        build_poset("B", 2, 2)
+        gc.collect(0)
+        assert ref() is None
+
+    def test_caller_freeze_is_kept(self):
+        gc.enable()
+        gc.freeze()
+        try:
+            frozen = gc.get_freeze_count()
+            build_poset("B", 2, 2)
+            assert frozen and gc.get_freeze_count() == frozen
+        finally:
+            gc.unfreeze()
 
 
 class TestExport:
