@@ -599,6 +599,21 @@ def enumerate_admissible(family: str, n: int, k: int) -> list[TotalOrder]:
                                             [comps for _K, comps in coding.labels])]
 
 
+def _steps(packets, full: int) -> list[list]:
+    """Per code of the mask full: (packet id, component mask, mask of the
+    codes before it, after it) for each packet component holding it."""
+    steps: list[list] = [[] for _ in range(full.bit_length())]
+    for pid, comps in enumerate(packets):
+        for codes, mask in comps:
+            if mask & ~full:
+                raise ValueError(f"packet {pid} holds codes outside ground")
+            before = 0
+            for c in codes:
+                steps[c].append((pid, mask, before, mask & ~before & ~(1 << c)))
+                before |= 1 << c
+    return steps
+
+
 @_gc_paused()
 def admissible_sequences(ground, packets) -> list[tuple]:
     """Orderings of the codes in ground that keep each packet in packet order
@@ -616,16 +631,7 @@ def admissible_sequences(ground, packets) -> list[tuple]:
     the listing of ground.
     """
     full = sum(1 << c for c in ground)
-    # per code: (packet id, component mask, mask of the codes before it, after it)
-    steps: list[list] = [[] for _ in range(full.bit_length())]
-    for pid, comps in enumerate(packets):
-        for codes, mask in comps:
-            if mask & ~full:
-                raise ValueError(f"packet {pid} holds codes outside ground")
-            before = 0
-            for c in codes:
-                steps[c].append((pid, mask, before, mask & ~before & ~(1 << c)))
-                before |= 1 << c
+    steps = _steps(packets, full)
     forward: list = [None] * len(packets)   # per packet: True when in packet order
     out = []
     seq: list = []
@@ -659,13 +665,8 @@ def admissible_sequences(ground, packets) -> list[tuple]:
 
 def admissible_orderings_filter(family: str, n: int, k: int) -> list[TotalOrder]:
     """Permutation-filter oracle for enumerate_admissible (tiny grounds only)."""
-    ground = ground_set(family, n, k)
-    out = []
-    for perm in itertools.permutations(ground):
-        cand = TotalOrder(family, n, k, perm)
-        if is_admissible(cand):
-            out.append(cand)
-    return out
+    return [rho for perm in itertools.permutations(ground_set(family, n, k))
+            if is_admissible(rho := TotalOrder(family, n, k, perm))]
 
 
 def count_chains(p: BruhatPoset) -> int:
@@ -678,28 +679,31 @@ def count_chains(p: BruhatPoset) -> int:
     return paths[0]
 
 
-@_gc_paused()
 def chains_bijection_check(p: BruhatPoset) -> bool:
-    """Maximal chains biject onto the admissible level-(k+1) orderings.  The
-    labels of _coding(family, n, k) are level k + 1 in standard order, so a
-    chain's label codes are a level-(k+1) sequence.  It holds when no node has
-    two out-edges with one label, every ordering of admissible_sequences walks
-    from node 0 to the top (an injection), and they number count_chains(p)."""
-    coding = _coding(p.family, p.n, p.k)
-    upper = _coding(p.family, p.n, p.k + 1).labels if coding.labels else ()
-    step: list[dict] = [{} for _ in p.nodes]    # node -> {label code: successor}
-    for s, d, c in p.edges:
-        step[s][c] = d
-    orderings = admissible_sequences(range(len(coding.labels)),
-                                     [comps for _K, comps in upper])
-    for seq in orderings:
-        v = 0
-        for c in seq:
-            if (v := step[v].get(c)) is None:
-                return False
-        if p.nodes[v].rank != len(coding.labels):
+    """Maximal chains biject onto the admissible level-(k+1) orderings (the
+    labels, in standard order), certified node by node: node 0 inverts
+    nothing, each edge adds exactly its label to its source's inv, no node
+    has two out-edges with one label, and each node's out-labels are the c
+    outside inv such that inv holds exactly the codes before c, or exactly
+    those after it, of each level-(k+2) packet holding c.  Those packets are
+    single chains (two components occur only at level 2), so the placed codes
+    fix their orientations and these legal steps spell exactly the admissible
+    orderings.  By induction on the steps, a path from node 0 reads a legal
+    sequence, its end's inv, and an admissible ordering walks one edge per
+    label to a node inverting every label; paths part by distinct labels."""
+    nodes, size = p.nodes, len(_coding(p.family, p.n, p.k).labels)
+    upper = _coding(p.family, p.n, p.k + 1).labels if size else ()
+    steps = _steps([comps for _K, comps in upper], (1 << size) - 1)
+    out = [0] * len(nodes)      # node -> mask of its out-edge labels
+    for s, d, c in p.edges:     # c outside inv(s) follows from the legal labels
+        if out[s] >> c & 1 or nodes[d].inv != nodes[s].inv | 1 << c:
             return False
-    return sum(map(len, step)) == len(p.edges) and len(orderings) == count_chains(p)
+        out[s] |= 1 << c
+    return not nodes[0].inv and all(
+        m == sum(1 << c for c, holds in enumerate(steps) if not nd.inv >> c & 1
+                 and all(nd.inv & mask in (before, after)
+                         for _pid, mask, before, after in holds))
+        for m, nd in zip(out, nodes))
 
 
 def inv_injectivity_check(p: BruhatPoset) -> bool:
@@ -729,19 +733,13 @@ def poset_to_json(p: BruhatPoset) -> str:
 
 def poset_from_json_obj(obj: dict) -> dict:
     """Parse an exported poset back into comparable node and edge sets."""
-    nodes = {}
-    for nd in obj["nodes"]:
-        canon = tuple(parse_element(t) for t in nd["canon"])
-        inv = frozenset(parse_element(t) for t in nd["inv"])
-        nodes[nd["id"]] = (canon, inv, nd["rank"])
-    return {
-        "family": obj["family"],
-        "n": obj["n"],
-        "k": obj["k"],
-        "nodes": frozenset(nodes.values()),
-        "edges": frozenset((nodes[e["src"]][0], nodes[e["dst"]][0],
-                            parse_element(e["label"])) for e in obj["edges"]),
-    }
+    nodes = {nd["id"]: (tuple(map(parse_element, nd["canon"])),
+                        frozenset(map(parse_element, nd["inv"])), nd["rank"])
+             for nd in obj["nodes"]}
+    return {"family": obj["family"], "n": obj["n"], "k": obj["k"],
+            "nodes": frozenset(nodes.values()),
+            "edges": frozenset((nodes[e["src"]][0], nodes[e["dst"]][0],
+                                parse_element(e["label"])) for e in obj["edges"])}
 
 
 def poset_comparable(p: BruhatPoset) -> dict:

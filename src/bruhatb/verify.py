@@ -588,10 +588,10 @@ def _suite_tasks(name: str, n: int):
     """The suite's checks as argument-less tasks, in report order.
 
     One memo per run: each poset is built once.  The flip-poset check and
-    the reduced-word count read the poset alone (chains_bijection_check,
-    count_chains); the only listings are of B(n,1)'s maximal chains, one per
-    rank, read off into its chain-word table.  Every check takes the poset or
-    table it reads from the memo.
+    the reduced-word count read the poset alone: chains_bijection_check is a
+    local certificate, node by node, and count_chains a path count, so
+    neither lists a chain or an ordering.  The only listings are of B(n,1)'s
+    maximal chains, one per rank, read off into its chain-word table.
     """
     import math
     from functools import cache, partial

@@ -2,6 +2,7 @@
 
 import ast
 import dataclasses
+import functools
 import gc
 import hashlib
 import inspect
@@ -626,6 +627,7 @@ class TestExtremaAndChains:
         assert factorial(sum(shape)) // hooks == expected
         p = build_poset(family, n, 1)
         assert count_chains(p) == expected
+        assert chains_bijection_check(p)    # certified also where none is listed
         if expected <= self.LISTED:
             assert len(maximal_chains(p)) == expected
 
@@ -693,6 +695,47 @@ class TestExtremaAndChains:
         assert set(listed) == set(admissible_sequences(
             range(len(coding.labels)), [comps for _K, comps in upper]))
 
+    @pytest.mark.parametrize("family,n,k", [("B", 3, 2), ("A", 4, 2)])
+    def test_chain_label_bijection_lists_no_ordering(self, family, n, k, monkeypatch):
+        from bruhatb import orders
+
+        def listed(*args):
+            raise AssertionError("the certificate listed or counted orderings")
+        monkeypatch.setattr(orders, "admissible_sequences", listed)
+        monkeypatch.setattr(orders, "count_chains", listed)
+        assert chains_bijection_check(build_poset(family, n, k))
+
+    def test_chain_label_bijection_beyond_listing(self):
+        # A(7,3)'s chains are far beyond any listing.  The admissible orderings
+        # of the 35 4-subsets of [7], counted without the poset by their placed
+        # sets: a 4-subset comes next when, in each 5-subset's packet (its
+        # 4-subsets in lexicographic order) that holds it, the placed ones are
+        # exactly those before it or exactly those after it
+        labels = list(itertools.combinations(range(1, 8), 4))
+        packets = {L: [] for L in labels}
+        for K in itertools.combinations(range(1, 8), 5):
+            chain = list(itertools.combinations(K, 4))
+            for i, L in enumerate(chain):
+                packets[L].append((set(chain), set(chain[:i]), set(chain[i + 1:])))
+
+        @functools.cache
+        def orderings(placed):
+            if len(placed) == len(labels):
+                return 1
+            return sum(orderings(placed | {L}) for L in labels if L not in placed
+                       and all(placed & chain in (before, after)
+                               for chain, before, after in packets[L]))
+        assert orderings(frozenset()) == 386912033825500
+        p = build_poset("A", 7, 3)
+        assert count_chains(p) == 386912033825500
+        assert chains_bijection_check(p)
+
+    @pytest.mark.parametrize("family,n,k", A_CASES + B_CASES + [("A", 7, 3), ("B", 5, 2)])
+    def test_certified_packets_are_single_chains(self, family, n, k):
+        # the certificate reads no packet orientation: one level above the
+        # labels, every packet is one chain (two components occur only at level 2)
+        assert all(len(comps) == 1 for _K, comps in _coding(family, n, k + 1).labels)
+
     @pytest.mark.parametrize("family,n,k", A_CASES + B_CASES + [("A", 4, 2)])
     def test_label_index_is_upper_code(self, family, n, k):
         # a chain's label indices are the codes of a level-(k+1) ordering
@@ -701,9 +744,9 @@ class TestExtremaAndChains:
         if labels:
             assert labels == _coding(family, n, k + 1).ground
 
-    @pytest.mark.parametrize("family,n,k", [("B", 3, 1), ("A", 4, 2)])
+    @pytest.mark.parametrize("family,n,k", [("B", 3, 1), ("A", 4, 2), ("B", 4, 2)])
     def test_chain_label_bijection_rejects_perturbed_chains(self, family, n, k):
-        # each copy of the poset perturbs its chains through one edge
+        # each copy of the poset perturbs its chains through one edge or one node
         p = build_poset(family, n, k)
         assert count_chains(p) > 1 and chains_bijection_check(p)
         labels = len(_coding(family, n, k).labels)
@@ -723,8 +766,30 @@ class TestExtremaAndChains:
         }
         for name, edges in perturbed.items():
             assert not chains_bijection_check(dataclasses.replace(p, edges=edges)), name
-        # the extra edge keeps every walk and adds one chain, so only the counts
-        # see it; the redirected one keeps the count, and walks end below the top
+        # one label's bit flipped in the inversion set of s, the last edge's source
+        nodes = list(p.nodes)
+        nodes[s] = dataclasses.replace(nodes[s], inv=nodes[s].inv ^ 1 << free)
+        assert not chains_bijection_check(dataclasses.replace(p, nodes=nodes))
+        # the interval above a rank-1 node v, renumbered so that v is node 0:
+        # every edge and out-label is kept, and its chains are the orderings
+        # that start with v's label
+        v = next(d2 for s2, d2, _c2 in p.edges if s2 == 0)
+        up = [v]
+        for s2, d2, _c2 in sorted(p.edges, key=lambda e: p.nodes[e[0]].rank):
+            if s2 in up and d2 not in up:
+                up.append(d2)
+        ids = {u: i for i, u in enumerate(up)}
+        rooted = dataclasses.replace(p, nodes=[p.nodes[u] for u in up], edges=[
+            (ids[s2], ids[d2], c2) for s2, d2, c2 in p.edges if s2 in ids])
+        assert not chains_bijection_check(rooted)
+        # why the certificate rejects each: "dropped" leaves s without a legal
+        # label, "duplicated" gives s two out-edges labelled c; the relabelled,
+        # extra and redirected edges reach a node whose inversion set is not
+        # their source's plus their label (free is not d's new bit, the top
+        # inverts every label, twin has s's rank), the flipped bit breaks the
+        # edge from s, and the rooted interval's node 0 inverts v's label.  The
+        # extra edge adds one chain, and the redirected one keeps the count, so
+        # count_chains alone would miss the latter
         counts = {name: count_chains(dataclasses.replace(p, edges=edges))
                   for name, edges in perturbed.items()}
         assert (d, counts["extra"], counts["redirected"]) == \
@@ -750,7 +815,6 @@ class TestGcPause:
         "enumerate_admissible": lambda: enumerate_admissible("B", 2, 2),
         "admissible_sequences": lambda: admissible_sequences(
             range(3), [(((0, 1, 2), 0b111),)]),
-        "chains_bijection_check": lambda: chains_bijection_check(build_poset("B", 2, 2)),
     }
     # a callee inside each paused block, patched to raise
     CALLEES = {
@@ -758,7 +822,6 @@ class TestGcPause:
         "maximal_chains": "check_extrema",
         "enumerate_admissible": "admissible_sequences",
         "admissible_sequences": None,
-        "chains_bijection_check": "admissible_sequences",
     }
 
     @pytest.fixture(autouse=True)
@@ -804,7 +867,7 @@ class TestGcPause:
         self.CALLS[call]()
         assert gc.collect() == 0
 
-    @pytest.mark.parametrize("outer", ["enumerate_admissible", "chains_bijection_check"])
+    @pytest.mark.parametrize("outer", ["enumerate_admissible"])
     def test_nested_pause_keeps_collector_off(self, outer, monkeypatch):
         from bruhatb import orders
         real, seen = orders.admissible_sequences, []
