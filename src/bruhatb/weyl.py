@@ -256,17 +256,19 @@ class WeakOrderGraph:
 
 def weak_order_poset(n: int) -> WeakOrderGraph:
     """Weak left order on the hyperoctahedral group."""
-    return _weak_order("B", n, all_signed_permutations(n))
+    return _weak_order("B", n)
 
 
 def weak_order_poset_a(n: int) -> WeakOrderGraph:
     """Weak left order on the symmetric group, the positive windows of B_n."""
-    return _weak_order("A", n, [SignedPermutation(w)
-                                for w in itertools.permutations(range(1, n + 1))])
+    return _weak_order("A", n)
 
 
-def _weak_order(family: str, n: int, elems) -> WeakOrderGraph:
+def _weak_order(family: str, n: int) -> WeakOrderGraph:
+    """The family's weak left order: B_n, or its positive windows in type A."""
     reflections = simple_reflections(family, n)
+    elems = (all_signed_permutations(n) if family == "B" else
+             [SignedPermutation(w) for w in itertools.permutations(range(1, n + 1))])
     ranks = {w.images: weyl_length(w) for w in elems}
     edges = set()
     for w in elems:
@@ -291,7 +293,7 @@ def _iso_check(poset: BruhatPoset) -> bool:
     """iso_check on the already built build_poset(family, n, 1), against
     that family's weak order."""
     n, family = poset.n, poset.family
-    weak = weak_order_poset(n) if family == "B" else weak_order_poset_a(n)
+    weak = _weak_order(family, n)
     window = [_slots_to_perm(_slots(nd.canon), n) for nd in poset.nodes]
     if len({pi.images for pi in window}) != len(weak.ranks) or any(
             weak.ranks[pi.images] != nd.rank for pi, nd in zip(window, poset.nodes)):
@@ -399,26 +401,20 @@ def braid_classify(K) -> str:
 
 
 def reduced_words_brute(family: str, n: int) -> set[tuple[int, ...]]:
-    """All reduced words for the longest element, by length-increasing DFS."""
-    reflections = simple_reflections(family, n)
-    identity = identity_b(n)
-    longest = longest_b(n) if family == "B" else longest_a(n)
-    words: set[tuple[int, ...]] = set()
-    stack = [(identity, ())]
-    lengths = {identity: 0}
+    """All reduced words for the longest element: the edge labels of the paths
+    in _weak_order(family, n) from the identity to the closed-form longest
+    element, which is not read off the graph, so a wrong graph lists none."""
+    succ: dict = {}
+    for src, dst, g in _weak_order(family, n).edges:
+        succ.setdefault(src, []).append((dst, g))
+    longest = (longest_b(n) if family == "B" else longest_a(n)).images
+    words, stack = set(), [(identity_b(n).images, ())]
     while stack:
         w, word = stack.pop()
         if w == longest:
             words.add(word)
-            continue
-        lw = lengths[w]
-        for g, s in reflections.items():
-            nxt = s.compose(w)
-            ln = lengths.get(nxt)
-            if ln is None:
-                ln = lengths[nxt] = weyl_length(nxt)
-            if ln == lw + 1:
-                stack.append((nxt, word + (g,)))
+        for nxt, g in succ.get(w, ()):
+            stack.append((nxt, word + (g,)))
     return words
 
 
@@ -502,11 +498,12 @@ def check_root_inversions(n: int) -> bool:
     the positive system.  False when there is no ordering to test.
     """
     orderings = enumerate_admissible("B", n, 1)
+    roots = [(K, root_of(K)) for K in enumerate_B(n, 2)]
     for rho in orderings:
         pi = order_to_perm(rho)
         inv = inversion_set(rho)
-        for K in enumerate_B(n, 2):
-            if (K in inv) != (not act(pi, root_of(K)).positive):
+        for K, alpha in roots:
+            if (K in inv) != (not act(pi, alpha).positive):
                 return False
     return bool(orderings)
 

@@ -626,6 +626,21 @@ class TestWeylSuite:
                       if r["check"] == "chain-words-reduced" and r["params"]["n"] == n]
             assert not rep["result"]
 
+    def test_weak_order_missing_the_top_fails(self, monkeypatch):
+        # the oracle's words are paths to the closed-form longest element, so
+        # a weak order that misses it gives no words to match the chains
+        from bruhatb import weyl
+        weak_order = weyl._weak_order
+
+        def topless(family, n):
+            weak = weak_order(family, n)
+            top = weyl.longest_b(n).images
+            weak.edges = {e for e in weak.edges if e[1] != top}
+            return weak
+        monkeypatch.setattr(weyl, "_weak_order", topless)
+        (rep,) = [r for r in run_suite("weyl", 2) if r["check"] == "chain-words-reduced"]
+        assert rep["params"] == {"n": 2} and not rep["result"]
+
     def test_empty_chain_word_table_fails(self, monkeypatch):
         from bruhatb import weyl
         monkeypatch.setattr(weyl, "chain_words", lambda chains, family, n: {})

@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import itertools
 import sys
 from collections import deque
 from math import factorial
@@ -375,6 +376,41 @@ class TestReducedWordOracle:
     def test_words_evaluate_to_longest(self):
         for word in reduced_words_brute("B", 2):
             assert ReducedWord("B", 2, word).evaluate() == longest_b(2)
+
+    @pytest.mark.parametrize("family,n", [("A", 1), ("A", 3), ("A", 4),
+                                          ("B", 1), ("B", 2), ("B", 3)])
+    def test_equals_filter_of_all_words(self, family, n):
+        # every word of length l(w0) = n^2 (type B) or n(n-1)/2 (type A) over
+        # the generators, kept when it evaluates to the longest element
+        longest = longest_b(n) if family == "B" else longest_a(n)
+        length = n * n if family == "B" else n * (n - 1) // 2
+        words = {w for w in itertools.product(range(family == "A", n), repeat=length)
+                 if ReducedWord(family, n, w).evaluate() == longest}
+        assert reduced_words_brute(family, n) == words
+
+    @pytest.mark.parametrize("family,n,bound,count", [
+        ("A", 5, 120 * 4, 768), ("B", 3, 48 * 3, 42), ("B", 4, 384 * 4, 24024)])
+    def test_composes_once_per_element_and_generator(self, monkeypatch,
+                                                     family, n, bound, count):
+        # the words are paths of the weak order, which composes each group
+        # element with each generator once; the words cost no compose
+        calls = []
+        compose = SignedPermutation.compose
+
+        def counted(self, other):
+            calls.append(1)
+            return compose(self, other)
+        monkeypatch.setattr(SignedPermutation, "compose", counted)
+        assert len(reduced_words_brute(family, n)) == count
+        assert len(calls) <= bound
+
+    def test_weak_order_missing_the_top_lists_nothing(self, monkeypatch):
+        # the longest element is the closed form, not the graph's top
+        weak = weyl._weak_order("B", 3)
+        top = longest_b(3).images
+        weak.edges = {e for e in weak.edges if e[1] != top}
+        monkeypatch.setattr(weyl, "_weak_order", lambda family, n: weak)
+        assert reduced_words_brute("B", 3) == set()
 
     def test_group_sizes(self):
         assert len(all_signed_permutations(3)) == 2 ** 3 * factorial(3)
