@@ -591,7 +591,9 @@ def _suite_tasks(name: str, n: int):
     the reduced-word count read the poset alone: chains_bijection_check is a
     local certificate, node by node, and count_chains a path count, so
     neither lists a chain or an ordering.  The only listings are of B(n,1)'s
-    maximal chains, one per rank, read off into its chain-word table.
+    maximal chains, one per rank, read off into its chain-word table; one
+    braid walk per rank over that table (weyl.braid_correspondence) gives
+    both the flip-braid and the swap-commutation report.
     """
     import math
     from functools import cache, partial
@@ -602,6 +604,7 @@ def _suite_tasks(name: str, n: int):
 
     poset = cache(build_poset)
     words = cache(lambda nn: weyl.chain_words(maximal_chains(poset("B", nn, 1)), "B", nn))
+    braids = cache(lambda nn: weyl.braid_correspondence(words(nn)))
 
     def flip_poset(family, nn, k, expect_nodes=None):
         p = poset(family, nn, k)
@@ -648,12 +651,10 @@ def _suite_tasks(name: str, n: int):
             tasks.append(lambda nn=nn: _counted(
                 "level1-group-bijection", nn, weyl.level1_group_bijection_check(nn)))
             tasks.append(lambda nn=nn: _counted(
-                "flip-braid-correspondence", nn,
-                weyl.flip_braid_correspondence(words(nn))))
+                "flip-braid-correspondence", nn, braids(nn)[0]))
             if nn >= 3:     # B(2,2) has no commuting adjacent pair to swap
                 tasks.append(lambda nn=nn: _counted(
-                    "swap-commutation-correspondence", nn,
-                    weyl.swap_commutation_correspondence(words(nn))))
+                    "swap-commutation-correspondence", nn, braids(nn)[1]))
     if name in ("appendix", "all"):
         for nn in range(2, n + 1):
             for k in (1, 2):

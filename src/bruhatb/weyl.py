@@ -5,7 +5,7 @@ permutations; packet flips become left multiplications by simple reflections,
 identifying the level-1 flip poset with the weak left Bruhat order.  Maximal
 chains then read off as reduced words for the longest element, and one walk
 over their table checks that level-2 flips and swaps of commuting labels act
-on the words as braid moves of arity 3 or 4 and 2 (_braid_walk).
+on the words as braid moves of arity 3 or 4 and 2 (braid_correspondence).
 
 Both families live in the hyperoctahedral group: a type A permutation is a
 signed permutation with a positive window.  Roots are type B only: e_i,
@@ -63,6 +63,8 @@ class SignedPermutation:
         return len(self.images)
 
     def __call__(self, i: int) -> int:
+        if not 0 < abs(i) <= self.n:
+            raise ValueError(f"index {i} is not a signed index of rank {self.n}")
         return self.images[i - 1] if i > 0 else -self.images[-i - 1]
 
     def compose(self, other: "SignedPermutation") -> "SignedPermutation":
@@ -395,7 +397,8 @@ def braid_classify(K) -> str:
     """Braid arity of the flip at a level-3 element: "m3" or "m4"."""
     if isinstance(K, BElem) and K.level == 3:
         return "m4" if K.kind == "star" else "m3"
-    if isinstance(K, tuple) and len(K) == 3:
+    if (isinstance(K, tuple) and len(K) == 3 and all(isinstance(v, int) for v in K)
+            and 0 < K[0] < K[1] < K[2]):    # a type A subset, as parse_element reads it
         return "m3"
     raise ValueError(f"not a level-3 element: {K!r}")
 
@@ -437,57 +440,45 @@ def _generator_order(family: str, n: int, a: int, b: int) -> int:
     return m
 
 
-def flip_braid_correspondence(words: dict) -> tuple[bool, int]:
-    """Level-2 flips act on chain words as braid moves of the right arity.
-
-    Flipping an orbit element replaces an alternating block s t s by t s t
-    (generators of order 3); flipping a star element replaces s t s t by
-    t s t s (order 4), on the slots the flip reverses.  words is as for
-    _braid_walk.  Returns (ok, flips checked).
-    """
-    return _braid_walk(words, (3, 4))
-
-
-def swap_commutation_correspondence(words: dict) -> tuple[bool, int]:
-    """Swaps of commuting labels exchange the two commuting word letters in
-    their slots: (ok, swaps).  words is as for _braid_walk."""
-    return _braid_walk(words, (2,))
-
-
-def _braid_walk(words: dict, arities: tuple) -> tuple[bool, int]:
-    """The move walk over a chain-word table: (ok, moves of an arity in arities).
+def braid_correspondence(words: dict) -> tuple[tuple[bool, int], tuple[bool, int]]:
+    """Level-2 flips act on chain words as braid moves, and swaps of commuting
+    labels as commutations: ((ok, flips), (ok, swaps)), in one walk.
 
     words is chain_words(maximal_chains(build_poset(family, n, 1)), family,
-    n), keyed by the admissible level-2 orderings.  A move of arity m at slot
-    lo reverses slots lo .. lo+m-1 of an ordering: a flip at a level-3 label
-    whose packet (one component, of 3 elements for an orbit label and 4 for a
-    star) fills that run of slots (orders._runs), or a swap of two adjacent
-    commuting labels (m = 2).  The neighbour must be a key whose word differs
-    from this one exactly on those slots, where an alternating block
-    (a, b, a, ...) becomes (b, a, b, ...) and s_a s_b has order m.
+    n), keyed by the admissible level-2 orderings, which the walk reads on
+    codes.  A move of arity m at slot lo reverses slots lo .. lo+m-1 of an
+    ordering: a flip at a level-3 label whose packet (one component, of 3
+    elements for an orbit label and 4 for a star) fills that run of slots
+    (orders._runs), or a swap of two adjacent commuting labels (m = 2).  The
+    neighbour must be a key whose word differs from this one exactly on those
+    slots, where an alternating block (a, b, a, ...) becomes (b, a, b, ...)
+    and s_a s_b has order m.  The walk covers the whole table: a failed flip
+    does not fail the swaps, nor a failed swap the flips.
     """
-    moves = 0
-    for seq, word in words.items():
-        coding = _coding(word.family, word.n, 2)
-        codes = [coding.code[e] for e in seq]
+    if not words:
+        return (True, 0), (True, 0)
+    first = next(iter(words.values()))
+    family, n = first.family, first.n
+    coding = _coding(family, n, 2)
+    table = {tuple(coding.code[e] for e in seq): w.letters for seq, w in words.items()}
+    ok, moves = [True, True], [0, 0]      # flips, swaps
+    for codes, w1 in table.items():
         pos = _slots(codes)
         spans = [(lo, hi + 1 - lo) for _K, comps in coding.labels
                  for lo, hi in _runs(pos, comps)]
         spans += [(t, 2) for t in range(len(codes) - 1)
                   if not coding.partners[codes[t]] >> codes[t + 1] & 1]
-        w1 = word.letters
         for lo, m in spans:
-            if m not in arities:
-                continue
-            moves += 1
-            w2 = words.get(seq[:lo] + seq[lo:lo + m][::-1] + seq[lo + m:])
+            swap = m == 2
+            moves[swap] += 1
             a, b = w1[lo], w1[lo + 1]
             block = (a, b) * m
-            if (w2 is None or w1[lo:lo + m] != block[:m]
-                    or w2.letters != w1[:lo] + block[1:m + 1] + w1[lo + m:]
-                    or _generator_order(word.family, word.n, a, b) != m):
-                return False, moves
-    return True, moves
+            ok[swap] = ok[swap] and (
+                w1[lo:lo + m] == block[:m]
+                and table.get(codes[:lo] + codes[lo:lo + m][::-1] + codes[lo + m:])
+                == w1[:lo] + block[1:m + 1] + w1[lo + m:]
+                and _generator_order(family, n, a, b) == m)
+    return (ok[0], moves[0]), (ok[1], moves[1])
 
 
 def check_root_inversions(n: int) -> bool:

@@ -47,7 +47,7 @@ from bruhatb.verify import (
     run_suite,
     standard_cases,
 )
-from bruhatb.weyl import chain_words, swap_commutation_correspondence
+from bruhatb.weyl import braid_correspondence, chain_words
 
 
 def _linear_extensions(ground, below) -> list[tuple]:
@@ -604,10 +604,20 @@ class TestWeylSuite:
     def test_check_that_tests_nothing_fails(self):
         from bruhatb.verify import _counted
         rep = _counted("swap-commutation-correspondence", 2,
-                       swap_commutation_correspondence(chain_words(
-                           maximal_chains(build_poset("B", 2, 1)), "B", 2)))
+                       braid_correspondence(chain_words(
+                           maximal_chains(build_poset("B", 2, 1)), "B", 2))[1])
         assert rep["params"] == {"n": 2, "instances": 0} and not rep["result"]
         assert not _counted("flip-braid-correspondence", 2, (False, 4))["result"]
+
+    def test_wrong_commutation_fails_only_the_swaps(self, monkeypatch):
+        # one braid walk gives both reports, each with its own verdict
+        from bruhatb import weyl
+        order = weyl._generator_order
+        monkeypatch.setattr(weyl, "_generator_order", lambda family, n, a, b:
+                            3 if abs(a - b) > 1 else order(family, n, a, b))
+        failed = [(r["check"], r["params"]) for r in run_suite("weyl", 3)
+                  if not r["result"]]
+        assert failed == [("swap-commutation-correspondence", {"n": 3, "instances": 80})]
 
     def test_shared_chain_word_fails(self, monkeypatch):
         # two chains with one word: every word is still reduced, but the

@@ -32,10 +32,10 @@ from bruhatb.weyl import (
     act,
     all_signed_permutations,
     braid_classify,
+    braid_correspondence,
     chain_to_word,
     chain_words,
     check_root_inversions,
-    flip_braid_correspondence,
     identity_b,
     iso_check,
     level1_group_bijection_check,
@@ -47,7 +47,6 @@ from bruhatb.weyl import (
     root_of,
     simple_reflection_b,
     simple_reflections,
-    swap_commutation_correspondence,
     weak_order_poset,
     weak_order_poset_a,
     weyl_inversions,
@@ -311,19 +310,20 @@ class TestBraid:
         assert braid_classify((1, 2, 3)) == "m3"
 
     def test_classify_rejects_other_levels(self):
-        with pytest.raises(ValueError):
-            braid_classify(star((1,)))
+        for bad in (star((1,)), (3, 2, 1), ("x", "y", "z")):
+            with pytest.raises(ValueError):
+                braid_classify(bad)
 
     @pytest.mark.parametrize("n", (2, 3))
     def test_flip_braid_correspondence(self, n):
-        ok, flips = flip_braid_correspondence(
+        (ok, flips), _swaps = braid_correspondence(
             chain_words(maximal_chains(build_poset("B", n, 1)), "B", n))
         assert ok and flips == sum(len(flip_candidates(rho))
                                    for rho in enumerate_admissible("B", n, 2))
 
     @pytest.mark.parametrize("n", (2, 3))
     def test_swap_commutation_correspondence(self, n):
-        ok, swaps = swap_commutation_correspondence(
+        _flips, (ok, swaps) = braid_correspondence(
             chain_words(maximal_chains(build_poset("B", n, 1)), "B", n))
         if n == 2:      # B(2,2)'s two orderings have no commuting neighbours
             assert swaps == 0
@@ -336,26 +336,31 @@ class TestBraid:
         words = chain_words(maximal_chains(build_poset("B", 3, 1)), "B", 3)
         reversed_words = {seq: ReducedWord("B", 3, w.letters[::-1])
                           for seq, w in words.items()}
-        assert not flip_braid_correspondence(reversed_words)[0]
-        assert not swap_commutation_correspondence(reversed_words)[0]
+        (flips_ok, _), (swaps_ok, _) = braid_correspondence(reversed_words)
+        assert not flips_ok and not swaps_ok
 
-    @pytest.mark.parametrize("n", (2, 3))
-    def test_moves_count_braid_blocks_of_reduced_words(self, n):
+    @pytest.mark.parametrize("family,n,moves", [
+        ("B", 2, (2, 0)), ("B", 3, (40, 80)),
+        ("A", 3, (2, 0)), ("A", 4, (16, 20)), ("A", 5, (768, 2772)),
+    ], ids=("2", "3", "A3", "A4", "A5"))
+    def test_moves_count_braid_blocks_of_reduced_words(self, family, n, moves):
         # an alternating block (a, b, a, ...) of length m(a, b) in a reduced
         # word of the longest element is one edge of the reduced-expression
-        # graph; m from the Coxeter matrix of B_n
+        # graph; m from the Coxeter matrix of the family
         def m(a, b):
-            return 2 if abs(a - b) > 1 else 4 if {a, b} == {0, 1} else 3
+            if abs(a - b) > 1:
+                return 2
+            return 4 if family == "B" and {a, b} == {0, 1} else 3
 
         blocks = {2: 0, 3: 0, 4: 0}
-        for w in reduced_words_brute("B", n):
+        for w in reduced_words_brute(family, n):
             for lo in range(len(w) - 1):
                 a, b = w[lo], w[lo + 1]
                 if a != b and w[lo:lo + m(a, b)] == ((a, b) * 2)[:m(a, b)]:
                     blocks[m(a, b)] += 1
-        words = chain_words(maximal_chains(build_poset("B", n, 1)), "B", n)
-        assert flip_braid_correspondence(words) == (True, blocks[3] + blocks[4])
-        assert swap_commutation_correspondence(words) == (True, blocks[2])
+        assert (blocks[3] + blocks[4], blocks[2]) == moves
+        words = chain_words(maximal_chains(build_poset(family, n, 1)), family, n)
+        assert braid_correspondence(words) == ((True, moves[0]), (True, moves[1]))
 
     @pytest.mark.parametrize("drop", (0, 41))
     def test_missing_chain_fails(self, drop):
@@ -363,8 +368,35 @@ class TestBraid:
         words = chain_words(maximal_chains(build_poset("B", 3, 1)), "B", 3)
         assert len(words) == 42
         del words[list(words)[drop]]
-        assert not flip_braid_correspondence(words)[0]
-        assert not swap_commutation_correspondence(words)[0]
+        (flips_ok, _), (swaps_ok, _) = braid_correspondence(words)
+        assert not flips_ok and not swaps_ok
+
+    @pytest.mark.parametrize("wrong,verdicts", [
+        (lambda a, b: abs(a - b) > 1, ((True, 40), (False, 80))),
+        (lambda a, b: {a, b} == {0, 1}, ((False, 40), (True, 80))),
+    ], ids=("commuting", "star"))
+    def test_verdicts_stay_separate(self, monkeypatch, wrong, verdicts):
+        # a wrong Coxeter matrix entry fails only the moves of its arity, and
+        # the walk still counts every move of the table
+        order = weyl._generator_order
+        monkeypatch.setattr(weyl, "_generator_order", lambda family, n, a, b:
+                            3 if wrong(a, b) else order(family, n, a, b))
+        words = chain_words(maximal_chains(build_poset("B", 3, 1)), "B", 3)
+        assert braid_correspondence(words) == verdicts
+
+    def test_runs_once_per_ordering_and_label(self, monkeypatch):
+        # one walk per rank: B(2,2) has 2 orderings and 1 label, B(3,2) 42
+        # orderings and 7 labels
+        from bruhatb.verify import run_suite
+        calls = []
+        runs = weyl._runs
+
+        def counted(pos, comps):
+            calls.append(1)
+            return runs(pos, comps)
+        monkeypatch.setattr(weyl, "_runs", counted)
+        assert all(r["result"] for r in run_suite("weyl", 3))
+        assert len(calls) <= 2 * 1 + 42 * 7
 
 
 class TestReducedWordOracle:
@@ -464,6 +496,11 @@ class TestSignedPermutation:
     def test_negation_equivariance(self):
         pi = SignedPermutation((-2, 1))
         assert pi(-1) == -pi(1) and pi(-2) == -pi(2)
+
+    @pytest.mark.parametrize("i", (0, 4, -4))
+    def test_index_out_of_range_rejected(self, i):
+        with pytest.raises(ValueError, match=f"index {i} "):
+            identity_b(3)(i)
 
     def test_bad_window_rejected(self):
         with pytest.raises(ValueError):
