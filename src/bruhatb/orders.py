@@ -545,49 +545,54 @@ def check_extrema(p: BruhatPoset) -> ExtremaReport:
                          sum(nd.inv == full for nd in nodes) == 1, graded)
 
 
-@_gc_paused()
 def maximal_chains(p: BruhatPoset) -> list[tuple]:
-    """Edge-label sequences (level-(k+1) elements) of all minimum-to-maximum
-    paths, in label order.
+    """_paths(p) with each edge's label, a level-(k+1) element, as its token."""
+    labels = _coding(p.family, p.n, p.k).labels
+    return _paths(p, [labels[c][0] for _s, _d, c in p.edges])
+
+
+@_gc_paused()
+def _paths(p: BruhatPoset, tokens: list) -> list[tuple]:
+    """The minimum-to-maximum paths of p, each the tuple of its edges' tokens
+    (tokens[i] for p.edges[i]), in label order of the edges.
 
     They meet at the middle rank m = R // 2 of the top rank R.  From the top
-    down, each node of rank >= m lists its tails, (K,) + t over its successors
-    in label order; below m, a depth-first walk (one label path, a stack of
-    successor iterators) extends each path that reaches rank m by them.
+    down, each node of rank >= m lists its tails, (t,) + tail over its
+    successors in label order; below m, a depth-first walk (one token path, a
+    stack of successor iterators) extends each path that reaches rank m by them.
     """
     rep = check_extrema(p)
     if not (rep.unique_min and rep.unique_max and rep.graded):
         raise ValueError("maximal chains need unique extrema and a graded poset")
-    labels = _coding(p.family, p.n, p.k).labels
     rank = [nd.rank for nd in p.nodes]
-    top = rank.index(len(labels))
+    top = rank.index(len(_coding(p.family, p.n, p.k).labels))
     succ: list[list] = [[] for _ in rank]
-    for s, d, c in sorted(p.edges, key=lambda e: e[2]):
-        succ[s].append((d, labels[c][0]))
+    for (s, d, _c), t in sorted(zip(p.edges, tokens), key=lambda e: e[0][2]):
+        succ[s].append((d, t))
     mid = rank[top] // 2
     tails = {top: [()]}
     for v in sorted((v for v in range(len(rank)) if mid <= rank[v] < rank[top]),
                     key=rank.__getitem__, reverse=True):
-        tails[v] = [(K,) + t for d, K in succ[v] for t in tails[d]]
+        tails[v] = [(t,) + tail for d, t in succ[v] for tail in tails[d]]
     if rank[0] >= mid:      # top rank 0 or 1
         return tails[0]
-    chains = []
+    paths = []
     path: list = []
     stack = [iter(succ[0])]
     while stack:
-        for dst, K in stack[-1]:
+        for dst, t in stack[-1]:
             if rank[dst] == mid:
-                head = (*path, K)
-                chains += [head + t for t in tails[dst]]
+                head = (*path, t)
+                paths += [head + tail for tail in tails[dst]]
             else:
-                path.append(K)
+                path.append(t)
                 stack.append(iter(succ[dst]))
             break
         else:
             stack.pop()
             if path:
                 path.pop()
-    return chains
+    return paths
 
 
 @_gc_paused()

@@ -590,21 +590,21 @@ def _suite_tasks(name: str, n: int):
     One memo per run: each poset is built once.  The flip-poset check and
     the reduced-word count read the poset alone: chains_bijection_check is a
     local certificate, node by node, and count_chains a path count, so
-    neither lists a chain or an ordering.  The only listings are of B(n,1)'s
-    maximal chains, one per rank, read off into its chain-word table; one
-    braid walk per rank over that table (weyl.braid_correspondence) gives
-    both the flip-braid and the swap-commutation report.
+    neither lists a chain or an ordering.  The only listing is B(n,1)'s
+    chain-word table per rank, read off its edges on codes (weyl.chain_words);
+    one braid walk over each (weyl.braid_correspondence) gives both the
+    flip-braid and the swap-commutation report.
     """
     import math
     from functools import cache, partial
 
     from . import weyl
     from .orders import build_poset, chains_bijection_check, check_extrema, \
-        count_chains, inv_injectivity_check, maximal_chains
+        count_chains, inv_injectivity_check
 
     poset = cache(build_poset)
-    words = cache(lambda nn: weyl.chain_words(maximal_chains(poset("B", nn, 1)), "B", nn))
-    braids = cache(lambda nn: weyl.braid_correspondence(words(nn)))
+    words = cache(lambda nn: weyl.chain_words(poset("B", nn, 1)))
+    braids = cache(lambda nn: weyl.braid_correspondence(words(nn), "B", nn))
 
     def flip_poset(family, nn, k, expect_nodes=None):
         p = poset(family, nn, k)
@@ -646,7 +646,7 @@ def _suite_tasks(name: str, n: int):
                 weyl.check_root_inversions(nn)))
             tasks.append(lambda nn=nn: _report(
                 "chain-words-reduced", {"n": nn},
-                sorted(w.letters for w in words(nn).values())
+                sorted(words(nn).values())
                 == sorted(weyl.reduced_words_brute("B", nn))))
             tasks.append(lambda nn=nn: _counted(
                 "level1-group-bijection", nn, weyl.level1_group_bijection_check(nn)))

@@ -3,9 +3,9 @@
 Admissible orderings of the signed index set correspond to signed
 permutations; packet flips become left multiplications by simple reflections,
 identifying the level-1 flip poset with the weak left Bruhat order.  Maximal
-chains then read off as reduced words for the longest element, and one walk
-over their table checks that level-2 flips and swaps of commuting labels act
-on the words as braid moves of arity 3 or 4 and 2 (braid_correspondence).
+chains read off their edges' letters as reduced words for the longest element
+(chain_words), and one walk over that table checks that level-2 flips and
+commuting swaps act on the words as braid moves of arity 3 or 4 and 2.
 
 Both families live in the hyperoctahedral group: a type A permutation is a
 signed permutation with a positive window.  Roots are type B only: e_i,
@@ -24,6 +24,7 @@ from .orders import (
     TotalOrder,
     _coding,
     _flip_runs,
+    _paths,
     _placed,
     _runs,
     _slots,
@@ -256,17 +257,7 @@ class WeakOrderGraph:
     edges: set            # (src window, dst window, generator index)
 
 
-def weak_order_poset(n: int) -> WeakOrderGraph:
-    """Weak left order on the hyperoctahedral group."""
-    return _weak_order("B", n)
-
-
-def weak_order_poset_a(n: int) -> WeakOrderGraph:
-    """Weak left order on the symmetric group, the positive windows of B_n."""
-    return _weak_order("A", n)
-
-
-def _weak_order(family: str, n: int) -> WeakOrderGraph:
+def weak_order(family: str, n: int) -> WeakOrderGraph:
     """The family's weak left order: B_n, or its positive windows in type A."""
     reflections = simple_reflections(family, n)
     elems = (all_signed_permutations(n) if family == "B" else
@@ -285,31 +276,37 @@ def iso_check(n: int) -> bool:
     """Level-1 type B flip poset matches the weak order edge-by-edge.
 
     Classes map bijectively onto signed permutations and every flip edge is a
-    left multiplication by a simple reflection, with matching cover sets.  An
-    edge's generator is read as in chain_to_word.
+    left multiplication by a simple reflection (its letter), with matching
+    cover sets.
     """
     return _iso_check(build_poset("B", n, 1))
 
 
 def _iso_check(poset: BruhatPoset) -> bool:
     """iso_check on the already built build_poset(family, n, 1), against
-    that family's weak order."""
+    that family's weak order: one poset edge per weak-order edge."""
     n, family = poset.n, poset.family
-    weak = _weak_order(family, n)
+    weak = weak_order(family, n)
     window = [_slots_to_perm(_slots(nd.canon), n) for nd in poset.nodes]
     if len({pi.images for pi in window}) != len(weak.ranks) or any(
             weak.ranks[pi.images] != nd.rank for pi, nd in zip(window, poset.nodes)):
         return False
     reflections = simple_reflections(family, n)
-    labels = _coding(family, n, 1).labels
     mapped = set()
-    for src, dst, c in poset.edges:
-        seq = list(poset.nodes[src].canon)
-        gen = _flip_runs(seq, _slots(seq), labels[c][1]) - (len(seq) - n)
+    for (src, dst, _c), gen in zip(poset.edges, _edge_letters(poset)):
         if gen not in reflections or reflections[gen].compose(window[src]) != window[dst]:
             return False
         mapped.add((window[src].images, window[dst].images, gen))
-    return mapped == weak.edges
+    return len(poset.edges) == len(mapped) and mapped == weak.edges
+
+
+def _edge_letters(p: BruhatPoset) -> list[int]:
+    """Each edge's letter g, as chain_to_word reads it: the flip of the source's
+    one ordering moves w to s_g w, g its last slot moved less |ground| - n."""
+    coding = _coding(p.family, p.n, 1)
+    offset = len(coding.ground) - p.n
+    return [_flip_runs(seq := list(p.nodes[s].canon), _slots(seq), coding.labels[c][1])
+            - offset for s, _d, c in p.edges]
 
 
 # ---------------------------------------------------------------------------
@@ -387,10 +384,14 @@ def chain_to_word(labels, family: str, n: int) -> ReducedWord:
     return ReducedWord(family, n, tuple(letters))
 
 
-def chain_words(chains, family: str, n: int) -> dict:
-    """Each chain of a listing of maximal_chains(build_poset(family, n, 1)),
-    a level-2 ordering read as its label tuple, mapped to its ReducedWord."""
-    return {labels: chain_to_word(labels, family, n) for labels in chains}
+def chain_words(p: BruhatPoset) -> dict:
+    """Each maximal chain of the level-1 poset p, as its label codes (a
+    level-2 ordering on the codes of _coding(family, n, 2)), mapped to its
+    letters, read off p's edges (_edge_letters) in maximal_chains order."""
+    if p.k != 1:
+        raise ValueError(f"chain words are read off a level-1 poset, got level {p.k}")
+    tokens = list(zip([c for _s, _d, c in p.edges], _edge_letters(p)))
+    return dict(zip(*path) if path else ((), ()) for path in _paths(p, tokens))
 
 
 def braid_classify(K) -> str:
@@ -405,10 +406,10 @@ def braid_classify(K) -> str:
 
 def reduced_words_brute(family: str, n: int) -> set[tuple[int, ...]]:
     """All reduced words for the longest element: the edge labels of the paths
-    in _weak_order(family, n) from the identity to the closed-form longest
+    in weak_order(family, n) from the identity to the closed-form longest
     element, which is not read off the graph, so a wrong graph lists none."""
     succ: dict = {}
-    for src, dst, g in _weak_order(family, n).edges:
+    for src, dst, g in weak_order(family, n).edges:
         succ.setdefault(src, []).append((dst, g))
     longest = (longest_b(n) if family == "B" else longest_a(n)).images
     words, stack = set(), [(identity_b(n).images, ())]
@@ -440,29 +441,23 @@ def _generator_order(family: str, n: int, a: int, b: int) -> int:
     return m
 
 
-def braid_correspondence(words: dict) -> tuple[tuple[bool, int], tuple[bool, int]]:
+def braid_correspondence(words: dict, family: str, n: int) -> tuple[tuple, tuple]:
     """Level-2 flips act on chain words as braid moves, and swaps of commuting
     labels as commutations: ((ok, flips), (ok, swaps)), in one walk.
 
-    words is chain_words(maximal_chains(build_poset(family, n, 1)), family,
-    n), keyed by the admissible level-2 orderings, which the walk reads on
-    codes.  A move of arity m at slot lo reverses slots lo .. lo+m-1 of an
-    ordering: a flip at a level-3 label whose packet (one component, of 3
-    elements for an orbit label and 4 for a star) fills that run of slots
-    (orders._runs), or a swap of two adjacent commuting labels (m = 2).  The
-    neighbour must be a key whose word differs from this one exactly on those
-    slots, where an alternating block (a, b, a, ...) becomes (b, a, b, ...)
-    and s_a s_b has order m.  The walk covers the whole table: a failed flip
-    does not fail the swaps, nor a failed swap the flips.
+    words is chain_words(build_poset(family, n, 1)), keyed by the admissible
+    level-2 orderings on codes.  A move of arity m at slot lo reverses slots
+    lo .. lo+m-1 of an ordering: a flip at a level-3 label whose packet (one
+    component, of 3 elements for an orbit label and 4 for a star) fills that
+    run of slots (orders._runs), or a swap of two adjacent commuting labels
+    (m = 2).  The neighbour must be a key whose word differs from this one
+    exactly on those slots, where an alternating block (a, b, a, ...) becomes
+    (b, a, b, ...) and s_a s_b has order m.  The walk covers the whole table:
+    a failed flip does not fail the swaps, nor a failed swap the flips.
     """
-    if not words:
-        return (True, 0), (True, 0)
-    first = next(iter(words.values()))
-    family, n = first.family, first.n
     coding = _coding(family, n, 2)
-    table = {tuple(coding.code[e] for e in seq): w.letters for seq, w in words.items()}
     ok, moves = [True, True], [0, 0]      # flips, swaps
-    for codes, w1 in table.items():
+    for codes, w1 in words.items():
         pos = _slots(codes)
         spans = [(lo, hi + 1 - lo) for _K, comps in coding.labels
                  for lo, hi in _runs(pos, comps)]
@@ -475,7 +470,7 @@ def braid_correspondence(words: dict) -> tuple[tuple[bool, int], tuple[bool, int
             block = (a, b) * m
             ok[swap] = ok[swap] and (
                 w1[lo:lo + m] == block[:m]
-                and table.get(codes[:lo] + codes[lo:lo + m][::-1] + codes[lo + m:])
+                and words.get(codes[:lo] + codes[lo:lo + m][::-1] + codes[lo + m:])
                 == w1[:lo] + block[1:m + 1] + w1[lo + m:]
                 and _generator_order(family, n, a, b) == m)
     return (ok[0], moves[0]), (ok[1], moves[1])

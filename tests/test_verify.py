@@ -533,18 +533,19 @@ class TestClassification:
 class TestMsTypeASuite:
     @pytest.mark.parametrize("n", [2, 4])
     def test_each_poset_built_once_and_never_listed(self, n, monkeypatch):
-        from bruhatb import orders
-        built, listed = [], []
+        from bruhatb import orders, weyl
+        built, listed, paths = [], [], orders._paths
 
         def counting_build(*args, **kwargs):
             built.append(args)
             return build_poset(*args, **kwargs)
 
-        def counting_chains(p):
+        def counting_paths(p, tokens):
             listed.append((p.family, p.n, p.k))
-            return maximal_chains(p)
+            return paths(p, tokens)
         monkeypatch.setattr(orders, "build_poset", counting_build)
-        monkeypatch.setattr(orders, "maximal_chains", counting_chains)
+        monkeypatch.setattr(orders, "_paths", counting_paths)
+        monkeypatch.setattr(weyl, "_paths", counting_paths)
         reports = run_suite("ms-typeA", n)
         configs = [("A", nn, k) for nn in range(3, n + 1)
                    for k in range(1, min(nn - 1, 3) + 1)] or [("A", n, 1)]
@@ -556,19 +557,19 @@ class TestMsTypeASuite:
 class TestAllSuite:
     def test_each_poset_built_once(self, monkeypatch):
         from bruhatb import orders, weyl
-        built, listed = [], []
+        built, listed, paths = [], [], orders._paths
 
         def counting_build(*args, **kwargs):
             built.append(args)
             return build_poset(*args, **kwargs)
 
-        def counting_chains(p):
+        def counting_paths(p, tokens):
             listed.append((p.family, p.n, p.k))
-            return maximal_chains(p)
+            return paths(p, tokens)
         monkeypatch.setattr(orders, "build_poset", counting_build)
         monkeypatch.setattr(weyl, "build_poset", counting_build)
-        monkeypatch.setattr(orders, "maximal_chains", counting_chains)
-        monkeypatch.setattr(weyl, "maximal_chains", counting_chains, raising=False)
+        monkeypatch.setattr(orders, "_paths", counting_paths)
+        monkeypatch.setattr(weyl, "_paths", counting_paths)
         reports = run_suite("all", 3)
         configs = [("A", 3, 1), ("A", 3, 2), ("B", 2, 1), ("B", 2, 2),
                    ("B", 3, 1), ("B", 3, 2)]
@@ -604,8 +605,7 @@ class TestWeylSuite:
     def test_check_that_tests_nothing_fails(self):
         from bruhatb.verify import _counted
         rep = _counted("swap-commutation-correspondence", 2,
-                       braid_correspondence(chain_words(
-                           maximal_chains(build_poset("B", 2, 1)), "B", 2))[1])
+                       braid_correspondence(chain_words(build_poset("B", 2, 1)), "B", 2)[1])
         assert rep["params"] == {"n": 2, "instances": 0} and not rep["result"]
         assert not _counted("flip-braid-correspondence", 2, (False, 4))["result"]
 
@@ -625,8 +625,8 @@ class TestWeylSuite:
         from bruhatb import weyl
         chain_words_of = weyl.chain_words
 
-        def shared(chains, family, n):
-            table = chain_words_of(chains, family, n)
+        def shared(p):
+            table = chain_words_of(p)
             first, second = list(table)[:2]
             table[second] = table[first]
             return table
@@ -640,19 +640,39 @@ class TestWeylSuite:
         # the oracle's words are paths to the closed-form longest element, so
         # a weak order that misses it gives no words to match the chains
         from bruhatb import weyl
-        weak_order = weyl._weak_order
+        weak_order = weyl.weak_order
 
         def topless(family, n):
             weak = weak_order(family, n)
             top = weyl.longest_b(n).images
             weak.edges = {e for e in weak.edges if e[1] != top}
             return weak
-        monkeypatch.setattr(weyl, "_weak_order", topless)
+        monkeypatch.setattr(weyl, "weak_order", topless)
         (rep,) = [r for r in run_suite("weyl", 2) if r["check"] == "chain-words-reduced"]
         assert rep["params"] == {"n": 2} and not rep["result"]
 
+    def test_wrong_edge_letter_fails(self, monkeypatch):
+        # the isomorphism, the chain words and the braid walk read one letter
+        # rule, so one wrong edge letter fails each of them
+        from bruhatb import weyl
+        edge_letters = weyl._edge_letters
+
+        def wrong(p):
+            letters = edge_letters(p)
+            letters[0] = (letters[0] + 1) % p.n
+            return letters
+        monkeypatch.setattr(weyl, "_edge_letters", wrong)
+        failed = [(r["check"], r["params"]["n"])
+                  for suite in ("typeB-k1", "weyl") for r in run_suite(suite, 3)
+                  if not r["result"]]
+        assert failed == [
+            ("weak-order-isomorphism", 2), ("weak-order-isomorphism", 3),
+            ("chain-words-reduced", 2), ("flip-braid-correspondence", 2),
+            ("chain-words-reduced", 3), ("flip-braid-correspondence", 3),
+            ("swap-commutation-correspondence", 3)]
+
     def test_empty_chain_word_table_fails(self, monkeypatch):
         from bruhatb import weyl
-        monkeypatch.setattr(weyl, "chain_words", lambda chains, family, n: {})
+        monkeypatch.setattr(weyl, "chain_words", lambda p: {})
         (rep,) = [r for r in run_suite("weyl", 2) if r["check"] == "chain-words-reduced"]
         assert rep["params"] == {"n": 2} and not rep["result"]

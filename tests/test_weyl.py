@@ -14,7 +14,9 @@ from bruhatb import weyl
 from bruhatb.core import normalize_orbit, star
 from bruhatb.orders import (
     TotalOrder,
+    _coding,
     build_poset,
+    count_chains,
     enumerate_admissible,
     flip_candidates,
     inversion_set,
@@ -47,8 +49,7 @@ from bruhatb.weyl import (
     root_of,
     simple_reflection_b,
     simple_reflections,
-    weak_order_poset,
-    weak_order_poset_a,
+    weak_order,
     weyl_inversions,
     weyl_length,
 )
@@ -143,24 +144,24 @@ class TestRoots:
 
 class TestWeakOrder:
     def test_rank1_two_elements(self):
-        g = weak_order_poset(1)
+        g = weak_order("B", 1)
         assert len(g.ranks) == 2 and set(g.ranks.values()) == {0, 1}
 
     def test_rank2_shape(self):
-        g = weak_order_poset(2)
+        g = weak_order("B", 2)
         assert len(g.ranks) == 8 and len(g.edges) == 8
         assert sorted(g.ranks.values()) == [0, 1, 1, 2, 2, 3, 3, 4]
         tops = [w for w, r in g.ranks.items() if r == 4]
         assert tops == [longest_b(2).images]
 
     def test_symmetric_group_variant(self):
-        g = weak_order_poset_a(3)
+        g = weak_order("A", 3)
         assert len(g.ranks) == 6
         assert max(g.ranks.values()) == 3
 
     def test_length_equals_graph_distance(self):
         for n in (2, 3):
-            g = weak_order_poset(n)
+            g = weak_order("B", n)
             dist = {identity_b(n).images: 0}
             frontier = deque([identity_b(n).images])
             succ = {}
@@ -191,6 +192,15 @@ class TestWeakOrder:
         s1, d1, K1 = edges[i]
         edges[0], edges[i] = (s0, d0, K1), (s1, d1, K0)
         assert not _iso_check(dataclasses.replace(p, edges=edges))
+
+    @pytest.mark.parametrize("i", (0, 30, -1))
+    def test_duplicated_edge_fails(self, i):
+        # a copy maps onto the weak-order edge its original maps onto, so the
+        # edge sets agree; only the edge count tells the copy, which adds chains
+        p = build_poset("B", 3, 1)
+        twice = dataclasses.replace(p, edges=[*p.edges, p.edges[i]])
+        assert count_chains(twice) > count_chains(p) == 42
+        assert _iso_check(p) and not _iso_check(twice)
 
     def test_first_flip_edge_matches_short_reflection(self):
         base = rho_min("B", 2, 1)
@@ -289,12 +299,39 @@ class TestChainWords:
 
     # sha256 of the words of all B_4 chains in maximal_chains order, one per
     # line, pinned from the replay by packet_flip on TotalOrders
+    GOLDEN_B4 = (24024, "306f45ea1ce0d80b7a66a48e174bf3f0e3e21654f17230640a7e3e13f58aab0a")
+
+    @staticmethod
+    def _digest(words) -> tuple:
+        text = "\n".join(" ".join(map(str, w)) for w in words)
+        return len(words), hashlib.sha256(text.encode()).hexdigest()
+
     def test_golden_b4_words(self):
         words = [chain_to_word(c, "B", 4).letters
                  for c in maximal_chains(build_poset("B", 4, 1))]
-        text = "\n".join(" ".join(map(str, w)) for w in words)
-        assert (len(words), hashlib.sha256(text.encode()).hexdigest()) == (
-            24024, "306f45ea1ce0d80b7a66a48e174bf3f0e3e21654f17230640a7e3e13f58aab0a")
+        assert self._digest(words) == self.GOLDEN_B4
+
+    def test_golden_b4_table(self):
+        assert self._digest(list(chain_words(build_poset("B", 4, 1)).values())) == \
+            self.GOLDEN_B4
+
+    @pytest.mark.parametrize("family,n", [("B", 2), ("B", 3), ("B", 4), ("A", 1),
+                                          ("A", 3), ("A", 4), ("A", 5)])
+    def test_table_agrees_with_chain_to_word(self, family, n):
+        # the table is keyed by each chain's label codes, in maximal_chains
+        # order, and holds the word chain_to_word replays from its elements;
+        # A(1,1) has no label, so its one chain and its word are empty
+        p = build_poset(family, n, 1)
+        chains, code = maximal_chains(p), _coding(family, n, 1).label_code
+        words = chain_words(p)
+        assert list(words) == [tuple(code[K] for K in c) for c in chains]
+        assert list(words.values()) == [chain_to_word(c, family, n).letters
+                                        for c in chains]
+
+    @pytest.mark.parametrize("family,n,k", [("B", 2, 2), ("A", 4, 2), ("A", 3, 3)])
+    def test_table_needs_level_1(self, family, n, k):
+        with pytest.raises(ValueError, match=f"level {k}"):
+            chain_words(build_poset(family, n, k))
 
     def test_scrambled_chain_rejected(self):
         first, second, *rest = maximal_chains(build_poset("B", 2, 1))[0]
@@ -317,14 +354,14 @@ class TestBraid:
     @pytest.mark.parametrize("n", (2, 3))
     def test_flip_braid_correspondence(self, n):
         (ok, flips), _swaps = braid_correspondence(
-            chain_words(maximal_chains(build_poset("B", n, 1)), "B", n))
+            chain_words(build_poset("B", n, 1)), "B", n)
         assert ok and flips == sum(len(flip_candidates(rho))
                                    for rho in enumerate_admissible("B", n, 2))
 
     @pytest.mark.parametrize("n", (2, 3))
     def test_swap_commutation_correspondence(self, n):
         _flips, (ok, swaps) = braid_correspondence(
-            chain_words(maximal_chains(build_poset("B", n, 1)), "B", n))
+            chain_words(build_poset("B", n, 1)), "B", n)
         if n == 2:      # B(2,2)'s two orderings have no commuting neighbours
             assert swaps == 0
         else:
@@ -333,16 +370,16 @@ class TestBraid:
     def test_reversed_words_fail(self):
         # each flip changes its neighbour's word on the slots it reverses,
         # not on their mirror image
-        words = chain_words(maximal_chains(build_poset("B", 3, 1)), "B", 3)
-        reversed_words = {seq: ReducedWord("B", 3, w.letters[::-1])
-                          for seq, w in words.items()}
-        (flips_ok, _), (swaps_ok, _) = braid_correspondence(reversed_words)
+        words = chain_words(build_poset("B", 3, 1))
+        reversed_words = {codes: w[::-1] for codes, w in words.items()}
+        (flips_ok, _), (swaps_ok, _) = braid_correspondence(reversed_words, "B", 3)
         assert not flips_ok and not swaps_ok
 
     @pytest.mark.parametrize("family,n,moves", [
         ("B", 2, (2, 0)), ("B", 3, (40, 80)),
         ("A", 3, (2, 0)), ("A", 4, (16, 20)), ("A", 5, (768, 2772)),
-    ], ids=("2", "3", "A3", "A4", "A5"))
+        ("B", 4, (27456, 141180)),
+    ], ids=("2", "3", "A3", "A4", "A5", "4"))
     def test_moves_count_braid_blocks_of_reduced_words(self, family, n, moves):
         # an alternating block (a, b, a, ...) of length m(a, b) in a reduced
         # word of the longest element is one edge of the reduced-expression
@@ -359,16 +396,16 @@ class TestBraid:
                 if a != b and w[lo:lo + m(a, b)] == ((a, b) * 2)[:m(a, b)]:
                     blocks[m(a, b)] += 1
         assert (blocks[3] + blocks[4], blocks[2]) == moves
-        words = chain_words(maximal_chains(build_poset(family, n, 1)), family, n)
-        assert braid_correspondence(words) == ((True, moves[0]), (True, moves[1]))
+        words = chain_words(build_poset(family, n, 1))
+        assert braid_correspondence(words, family, n) == ((True, moves[0]), (True, moves[1]))
 
     @pytest.mark.parametrize("drop", (0, 41))
     def test_missing_chain_fails(self, drop):
         # a flip or swap into the dropped ordering has no word to compare
-        words = chain_words(maximal_chains(build_poset("B", 3, 1)), "B", 3)
+        words = chain_words(build_poset("B", 3, 1))
         assert len(words) == 42
         del words[list(words)[drop]]
-        (flips_ok, _), (swaps_ok, _) = braid_correspondence(words)
+        (flips_ok, _), (swaps_ok, _) = braid_correspondence(words, "B", 3)
         assert not flips_ok and not swaps_ok
 
     @pytest.mark.parametrize("wrong,verdicts", [
@@ -381,8 +418,8 @@ class TestBraid:
         order = weyl._generator_order
         monkeypatch.setattr(weyl, "_generator_order", lambda family, n, a, b:
                             3 if wrong(a, b) else order(family, n, a, b))
-        words = chain_words(maximal_chains(build_poset("B", 3, 1)), "B", 3)
-        assert braid_correspondence(words) == verdicts
+        words = chain_words(build_poset("B", 3, 1))
+        assert braid_correspondence(words, "B", 3) == verdicts
 
     def test_runs_once_per_ordering_and_label(self, monkeypatch):
         # one walk per rank: B(2,2) has 2 orderings and 1 label, B(3,2) 42
@@ -438,10 +475,10 @@ class TestReducedWordOracle:
 
     def test_weak_order_missing_the_top_lists_nothing(self, monkeypatch):
         # the longest element is the closed form, not the graph's top
-        weak = weyl._weak_order("B", 3)
+        weak = weyl.weak_order("B", 3)
         top = longest_b(3).images
         weak.edges = {e for e in weak.edges if e[1] != top}
-        monkeypatch.setattr(weyl, "_weak_order", lambda family, n: weak)
+        monkeypatch.setattr(weyl, "weak_order", lambda family, n: weak)
         assert reduced_words_brute("B", 3) == set()
 
     def test_group_sizes(self):
