@@ -273,30 +273,23 @@ def weak_order(family: str, n: int) -> WeakOrderGraph:
 
 
 def iso_check(n: int) -> bool:
-    """Level-1 type B flip poset matches the weak order edge-by-edge.
-
-    Classes map bijectively onto signed permutations and every flip edge is a
-    left multiplication by a simple reflection (its letter), with matching
-    cover sets.
-    """
+    """Level-1 type B flip poset matches the weak order edge-by-edge: classes
+    map bijectively onto signed permutations, and the edges, as (src window,
+    dst window, letter), are the weak order's edges (w, s_g w, g), each once,
+    so each flip edge is a left multiplication by its letter's reflection."""
     return _iso_check(build_poset("B", n, 1))
 
 
 def _iso_check(poset: BruhatPoset) -> bool:
     """iso_check on the already built build_poset(family, n, 1), against
     that family's weak order: one poset edge per weak-order edge."""
-    n, family = poset.n, poset.family
-    weak = weak_order(family, n)
-    window = [_slots_to_perm(_slots(nd.canon), n) for nd in poset.nodes]
-    if len({pi.images for pi in window}) != len(weak.ranks) or any(
-            weak.ranks[pi.images] != nd.rank for pi, nd in zip(window, poset.nodes)):
+    weak = weak_order(poset.family, poset.n)
+    window = [_slots_to_perm(_slots(nd.canon), poset.n).images for nd in poset.nodes]
+    if len(set(window)) != len(weak.ranks) or any(
+            weak.ranks[w] != nd.rank for w, nd in zip(window, poset.nodes)):
         return False
-    reflections = simple_reflections(family, n)
-    mapped = set()
-    for (src, dst, _c), gen in zip(poset.edges, _edge_letters(poset)):
-        if gen not in reflections or reflections[gen].compose(window[src]) != window[dst]:
-            return False
-        mapped.add((window[src].images, window[dst].images, gen))
+    mapped = {(window[src], window[dst], gen)
+              for (src, dst, _c), gen in zip(poset.edges, _edge_letters(poset))}
     return len(poset.edges) == len(mapped) and mapped == weak.edges
 
 

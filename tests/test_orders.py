@@ -807,26 +807,30 @@ class TestExtremaAndChains:
 
 
 class TestGcPause:
-    """The bulk listings pause the cyclic collector and leave it as they found it."""
+    """build_poset and _paths pause the cyclic collector, and every bulk call
+    leaves it as it found it."""
 
     CALLS = {
         "build_poset": lambda: build_poset("B", 2, 2),
         "maximal_chains": lambda: maximal_chains(build_poset("B", 2, 1)),
         "chain_words": lambda: chain_words(build_poset("B", 2, 1)),
-        "enumerate_admissible": lambda: enumerate_admissible("B", 2, 2),
-        "admissible_sequences": lambda: admissible_sequences(
-            range(3), [(((0, 1, 2), 0b111),)]),
     }
     # a callee inside each paused block, patched to raise
     CALLEES = {
         "build_poset": "_class_flips",
         "maximal_chains": "check_extrema",
         "chain_words": "check_extrema",
-        "enumerate_admissible": "admissible_sequences",
-        "admissible_sequences": None,
     }
     # the paused function a call runs its bulk work in, where that is another
     PAUSED = {"maximal_chains": "_paths", "chain_words": "_paths"}
+    # unpaused, but a cycle left behind would still hold the listing, and
+    # they must not leave the collector changed either
+    LISTINGS = {
+        "enumerate_admissible": lambda: enumerate_admissible("B", 2, 2),
+        "admissible_sequences": lambda: admissible_sequences(
+            range(3), [(((0, 1, 2), 0b111),)]),
+    }
+    BULK = {**CALLS, **LISTINGS}
 
     @pytest.fixture(autouse=True)
     def restore_collector(self):
@@ -834,56 +838,47 @@ class TestGcPause:
         yield
         (gc.enable if enabled else gc.disable)()
 
-    @pytest.mark.parametrize("call", list(CALLS))
+    @pytest.mark.parametrize("call", list(BULK))
     def test_collector_on_after_return(self, call):
         gc.enable()
-        assert self.CALLS[call]()
+        assert self.BULK[call]()
         assert gc.isenabled()
 
     @pytest.mark.parametrize("call", list(CALLS))
     def test_collector_on_after_raise(self, call, monkeypatch):
         from bruhatb import orders
-        callee = self.CALLEES[call]
-        if callee is None:      # nothing to patch: a packet member outside ground raises
-            run = lambda: admissible_sequences(range(2), [(((0, 1, 2), 0b111),)])
-        else:
-            def boom(*args, **kwargs):
-                raise RuntimeError("callee failed")
-            monkeypatch.setattr(orders, callee, boom)
-            run = self.CALLS[call]
+
+        def boom(*args, **kwargs):
+            raise RuntimeError("callee failed")
+        monkeypatch.setattr(orders, self.CALLEES[call], boom)
         gc.enable()
-        with pytest.raises((RuntimeError, ValueError)):
-            run()
+        with pytest.raises(RuntimeError):
+            self.CALLS[call]()
         assert gc.isenabled()
 
-    @pytest.mark.parametrize("call", list(CALLS))
+    @pytest.mark.parametrize("call", list(BULK))
     def test_collector_left_off_for_a_caller_that_turned_it_off(self, call):
         gc.disable()
-        assert self.CALLS[call]()
+        assert self.BULK[call]()
         assert not gc.isenabled()
 
-    @pytest.mark.parametrize("call", list(CALLS))
+    @pytest.mark.parametrize("call", list(BULK))
     def test_no_cyclic_garbage(self, call):
         # what makes the pause safe: reference counting frees all a call makes
-        self.CALLS[call]()      # fill the lazy tables first
+        run = self.BULK[call]
+        run()       # fill the lazy tables first
         gc.collect()
         gc.disable()
-        self.CALLS[call]()
+        run()
         assert gc.collect() == 0
 
-    @pytest.mark.parametrize("outer", ["enumerate_admissible"])
-    def test_nested_pause_keeps_collector_off(self, outer, monkeypatch):
+    def test_nested_pause_keeps_collector_off(self):
         from bruhatb import orders
-        real, seen = orders.admissible_sequences, []
-
-        def spy(*args):
-            out = real(*args)
-            seen.append(gc.isenabled())     # back in the outer paused block
-            return out
-        monkeypatch.setattr(orders, "admissible_sequences", spy)
         gc.enable()
-        assert self.CALLS[outer]()
-        assert seen == [False] and gc.isenabled()
+        with orders._gc_paused():
+            assert build_poset("B", 2, 2)
+            assert not gc.isenabled()       # back in the outer paused block
+        assert gc.isenabled()
 
     def test_calls_name_every_paused_function(self):
         # each paused function must meet the no-cycle contract above, which

@@ -222,6 +222,16 @@ class TestBlocking:
     def test_blocking_agreement_rank2(self):
         assert blocking_agreement(2)["result"]
 
+    def test_enumerates_each_class_once(self, monkeypatch):
+        # the 42 orderings of B(3,2) fall into its 14 classes
+        from bruhatb import verify
+        starts = []
+        monkeypatch.setattr(verify, "class_members",
+                            lambda rho: starts.append(rho) or class_members(rho))
+        rep = blocking_agreement(3)
+        assert rep["result"] and rep["params"]["instances"] == 42 * 7
+        assert len(starts) == len(build_poset("B", 3, 2).nodes) == 14
+
     def test_rank1_checks_nothing_and_fails(self):
         # B(1,3) is empty: there is no level-3 element to flip
         rep = blocking_agreement(1)

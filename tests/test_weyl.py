@@ -193,6 +193,16 @@ class TestWeakOrder:
         edges[0], edges[i] = (s0, d0, K1), (s1, d1, K0)
         assert not _iso_check(dataclasses.replace(p, edges=edges))
 
+    @pytest.mark.parametrize("family, n", [("B", 3), ("A", 4)])
+    def test_moved_edge_destination_fails(self, family, n):
+        # the edge keeps its source and label, so its letter, and moves to
+        # another class of the same rank: counts and ranks still agree
+        p = build_poset(family, n, 1)
+        (s, d, c), edges = p.edges[0], list(p.edges)
+        edges[0] = (s, next(v for v, nd in enumerate(p.nodes)
+                            if v != d and nd.rank == p.nodes[d].rank), c)
+        assert _iso_check(p) and not _iso_check(dataclasses.replace(p, edges=edges))
+
     @pytest.mark.parametrize("i", (0, 30, -1))
     def test_duplicated_edge_fails(self, i):
         # a copy maps onto the weak-order edge its original maps onto, so the
