@@ -6,6 +6,9 @@ comparable components of one packet in place; quotienting by swaps of adjacent
 commuting elements and closing under flips yields a graded poset with the
 inversion set as rank function.  The poset is kept on the integer codes of
 _coding: node ids, inversion masks and label-code edges (BruhatPoset).
+build_poset keys classes by their heaps (_heap_bfs, the reference), except
+where every two elements share a packet (level 1, A(n, n-1), B(2,2)): then no
+two commute, every class is one ordering, and _ordering_bfs skips the heaps.
 """
 
 from __future__ import annotations
@@ -467,11 +470,14 @@ def build_poset(family: str, n: int, k: int) -> BruhatPoset:
     """BFS closure of packet flips starting from the minimal class.
 
     Node ids number the classes as found; every edge applies one flip at a
-    label outside the inversion set, raising rank by one.  A class is the set
-    of linear extensions of its heap, so an edge finds its class by the flipped
-    member's below masks, recomputed from the first slot the flip moves; the
-    canonical form is computed once, when the class is new.  The node budget
-    is BRUHAT_MAX_NODES, a positive integer (default DEFAULT_MAX_NODES).
+    label outside the inversion set, raising rank by one.  The node budget is
+    BRUHAT_MAX_NODES, a positive integer (default DEFAULT_MAX_NODES).
+
+    When every two codes share a packet (level 1 in both families, A(n, n-1)
+    and B(2,2)), no two commute and every class is a single ordering:
+    _ordering_bfs then keys classes by the ordering itself and skips the
+    heaps, the canonical forms and the blocking test.  Otherwise _heap_bfs
+    runs; it is the reference, and both give the same nodes and edges.
     """
     if family == "A":
         if not (1 <= k <= n):
@@ -488,14 +494,36 @@ def build_poset(family: str, n: int, k: int) -> BruhatPoset:
 
     poset = BruhatPoset(family, n, k)
     coding = _coding(family, n, k)
+    full = (1 << len(coding.ground)) - 1
+    if all(mates | 1 << c == full for c, mates in enumerate(coding.partners)):
+        _ordering_bfs(poset, coding, max_nodes)
+    else:
+        _heap_bfs(poset, coding, max_nodes)
+    return poset
+
+
+def _add_node(poset: BruhatPoset, max_nodes: int, canon: tuple, inv: int) -> int:
+    """Append a new class to poset within the node budget; returns its id."""
+    if len(poset.nodes) >= max_nodes:
+        raise PosetOverflowError(f"poset exceeded {max_nodes} nodes (BRUHAT_MAX_NODES) "
+                                 f"at rank {inv.bit_count()}")
+    poset.nodes.append(PosetNode(canon, inv))
+    return len(poset.nodes) - 1
+
+
+def _heap_bfs(poset: BruhatPoset, coding: _Coding, max_nodes: int) -> None:
+    """build_poset for any packet table.  A class is the set of linear
+    extensions of its heap, so an edge finds its class by the flipped member's
+    below masks, recomputed from the first slot the flip moves; the canonical
+    form is computed once, when the class is new."""
     partners, labels, size = coding.partners, coding.labels, len(coding.ground)
     # a queued node carries a member of its class and its heap (class
     # invariant, so any member's); heaps maps each class's below masks to its
     # id.  The standard order is least in its class and inverts nothing
     seq = list(range(size))
     below = _down(partners, seq)
-    poset.nodes.append(PosetNode(tuple(seq), 0))
-    heaps, canons = {tuple(below): 0}, {tuple(seq)}
+    heaps = {tuple(below): _add_node(poset, max_nodes, tuple(seq), 0)}
+    canons = {tuple(seq)}
     queue = deque([(0, seq, below, _down(partners, seq[::-1]))])
     while queue:
         src, seq, below, above = queue.popleft()
@@ -512,17 +540,45 @@ def build_poset(family: str, n: int, k: int) -> BruhatPoset:
                     raise RuntimeError(
                         f"a new heap at rank {inv.bit_count() + 1} has the "
                         f"canonical form of a known class")
-                if len(poset.nodes) >= max_nodes:
-                    raise PosetOverflowError(
-                        f"poset exceeded {max_nodes} nodes (BRUHAT_MAX_NODES) "
-                        f"at rank {inv.bit_count() + 1}")
-                dst = heaps[heap] = len(poset.nodes)
+                dst = heaps[heap] = _add_node(poset, max_nodes, canon, inv | 1 << i)
                 canons.add(canon)
-                poset.nodes.append(PosetNode(canon, inv | 1 << i))
                 queue.append((dst, member, flipped,
                               _down(partners, member[::-1], size - 1 - last, above)))
             poset.edges.append((src, dst, i))
-    return poset
+
+
+def _ordering_bfs(poset: BruhatPoset, coding: _Coding, max_nodes: int) -> None:
+    """build_poset when no two codes commute, so that each class is one
+    ordering: its own key and canonical form.  A label outside inv is in
+    packet order, so it flips exactly when each component fills the slots
+    from its first code's to its last's; the flip reverses those slots.
+    Nodes are visited in id order, the order _heap_bfs queues them in."""
+    ends = [[(codes[0], codes[-1], len(codes) - 1) for codes, _mask in comps]
+            for _K, comps in coding.labels]
+    start = tuple(range(len(coding.ground)))
+    ids = {start: _add_node(poset, max_nodes, start, 0)}
+    nodes, edges = poset.nodes, poset.edges
+    src = 0
+    while src < len(nodes):
+        seq, inv = nodes[src].canon, nodes[src].inv
+        pos = _slots(seq)
+        for i, comps in enumerate(ends):
+            if inv >> i & 1:
+                continue
+            for first, last, span in comps:
+                if pos[last] - pos[first] != span:
+                    break
+            else:
+                member = list(seq)
+                for first, last, _span in comps:
+                    lo, hi = pos[first], pos[last] + 1
+                    member[lo:hi] = seq[lo:hi][::-1]
+                member = tuple(member)
+                dst = ids.get(member)
+                if dst is None:
+                    dst = ids[member] = _add_node(poset, max_nodes, member, inv | 1 << i)
+                edges.append((src, dst, i))
+        src += 1
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ e_i - e_j and e_i + e_j for i > j.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -26,7 +27,6 @@ from .orders import (
     _flip_runs,
     _paths,
     _placed,
-    _runs,
     _slots,
     build_poset,
     enumerate_admissible,
@@ -440,23 +440,17 @@ def braid_correspondence(words: dict, family: str, n: int) -> tuple[tuple, tuple
 
     words is chain_words(build_poset(family, n, 1)), keyed by the admissible
     level-2 orderings on codes.  A move of arity m at slot lo reverses slots
-    lo .. lo+m-1 of an ordering: a flip at a level-3 label whose packet (one
-    component, of 3 elements for an orbit label and 4 for a star) fills that
-    run of slots (orders._runs), or a swap of two adjacent commuting labels
-    (m = 2).  The neighbour must be a key whose word differs from this one
-    exactly on those slots, where an alternating block (a, b, a, ...) becomes
-    (b, a, b, ...) and s_a s_b has order m.  The walk covers the whole table:
-    a failed flip does not fail the swaps, nor a failed swap the flips.
+    lo .. lo+m-1 of an ordering (_move_spans).  The neighbour must be a key
+    whose word differs from this one exactly on those slots, where an
+    alternating block (a, b, a, ...) becomes (b, a, b, ...) and s_a s_b has
+    order m.  The walk covers the whole table: a failed flip does not fail
+    the swaps, nor a failed swap the flips.
     """
     coding = _coding(family, n, 2)
+    windows = _flip_windows(coding.labels)
     ok, moves = [True, True], [0, 0]      # flips, swaps
     for codes, w1 in words.items():
-        pos = _slots(codes)
-        spans = [(lo, hi + 1 - lo) for _K, comps in coding.labels
-                 for lo, hi in _runs(pos, comps)]
-        spans += [(t, 2) for t in range(len(codes) - 1)
-                  if not coding.partners[codes[t]] >> codes[t + 1] & 1]
-        for lo, m in spans:
+        for lo, m in _move_spans(codes, windows, coding.partners):
             swap = m == 2
             moves[swap] += 1
             a, b = w1[lo], w1[lo + 1]
@@ -467,6 +461,28 @@ def braid_correspondence(words: dict, family: str, n: int) -> tuple[tuple, tuple
                 == w1[:lo] + block[1:m + 1] + w1[lo + m:]
                 and _generator_order(family, n, a, b) == m)
     return (ok[0], moves[0]), (ok[1], moves[1])
+
+
+def _flip_windows(labels: tuple) -> dict:
+    """The packets of labels (_Coding.labels at level 2), each one component
+    of 3 elements for an orbit label and 4 for a star: size -> code masks."""
+    windows: dict = {}
+    for _K, ((codes, mask),) in labels:
+        windows.setdefault(len(codes), set()).add(mask)
+    return windows
+
+
+def _move_spans(codes: tuple, windows: dict, partners: tuple) -> list[tuple[int, int]]:
+    """The moves from an ordering on codes, as (first slot, arity m): a flip
+    where a packet fills m consecutive slots, then a swap (m = 2) of each two
+    adjacent commuting codes.  A component fills consecutive slots exactly
+    when its code set is the window of as many slots from its lowest, so the
+    windows of each packet size are looked up by their masks (_flip_windows)."""
+    pre = list(itertools.accumulate((1 << c for c in codes), operator.or_, initial=0))
+    spans = [(lo, m) for m, masks in windows.items()
+             for lo in range(len(codes) - m + 1) if pre[lo + m] ^ pre[lo] in masks]
+    return spans + [(t, 2) for t in range(len(codes) - 1)
+                    if not partners[codes[t]] >> codes[t + 1] & 1]
 
 
 def check_root_inversions(n: int) -> bool:

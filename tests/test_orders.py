@@ -24,6 +24,8 @@ from bruhatb.core import (
     star,
 )
 from bruhatb.orders import (
+    DEFAULT_MAX_NODES,
+    BruhatPoset,
     FlipError,
     InadmissibleOrderError,
     TotalOrder,
@@ -54,7 +56,7 @@ from bruhatb.orders import (
     rho_max,
     rho_min,
 )
-from bruhatb.orders import _coding, _down, _flip_span
+from bruhatb.orders import _coding, _down, _flip_span, _heap_bfs, _ordering_bfs
 from bruhatb.weyl import chain_words, reduced_words_brute
 
 A_CASES = [("A", 2, 1), ("A", 3, 1), ("A", 3, 2)]
@@ -427,6 +429,44 @@ class TestHeapFastPaths:
             crosses_oracle(rho_min("B", 3, 1), -1, 1)
 
 
+class TestBuildPaths:
+    """build_poset skips the heaps when every class is a single ordering; the
+    heap BFS is the reference for that path."""
+
+    SINGLETON = ([("A", n, 1) for n in range(2, 7)] + [("B", n, 1) for n in range(1, 5)]
+                 + [("A", 3, 2), ("A", 4, 3), ("A", 5, 4), ("B", 2, 2)])
+
+    @staticmethod
+    def run(builder, family, n, k):
+        poset = BruhatPoset(family, n, k)
+        builder(poset, _coding(family, n, k), DEFAULT_MAX_NODES)
+        return poset
+
+    @pytest.mark.parametrize("family,n,k", SINGLETON)
+    def test_ordering_bfs_matches_heap_bfs(self, family, n, k):
+        coding = _coding(family, n, k)
+        full = (1 << len(coding.ground)) - 1
+        assert all(m | 1 << c == full for c, m in enumerate(coding.partners))
+        heaps = self.run(_heap_bfs, family, n, k)
+        orderings = self.run(_ordering_bfs, family, n, k)
+        assert orderings.nodes == heaps.nodes
+        assert orderings.edges == heaps.edges
+        assert len(heaps.edges) >= 1
+
+    def test_path_follows_commuting_pairs(self, monkeypatch):
+        from bruhatb import orders
+
+        def not_here(*_args):
+            raise AssertionError("build_poset took the wrong path")
+        with monkeypatch.context() as m:
+            m.setattr(orders, "_ordering_bfs", not_here)
+            assert [len(build_poset(*cfg).nodes)
+                    for cfg in [("B", 3, 2), ("A", 5, 2)]] == [14, 62]
+        monkeypatch.setattr(orders, "_heap_bfs", not_here)
+        assert [len(build_poset(*cfg).nodes)
+                for cfg in [("A", 5, 1), ("B", 3, 1), ("B", 2, 2)]] == [120, 48, 2]
+
+
 class TestEnumerateAdmissible:
     @pytest.mark.parametrize("family,n,k",
                              [("B", 2, 1), ("B", 2, 2), ("A", 3, 2),
@@ -544,6 +584,14 @@ class TestBuildPoset:
         monkeypatch.setenv("BRUHAT_MAX_NODES", "10")
         with pytest.raises(PosetOverflowError, match=r"exceeded 10 nodes .* at rank 3$"):
             build_poset("B", 4, 2)
+
+    def test_node_budget_names_rank_without_heaps(self, monkeypatch):
+        from bruhatb.orders import PosetOverflowError
+        # the classes of B(3,1) are single orderings, and ranks 0-3 of B_3
+        # hold 1 + 3 + 5 + 7 classes, so the 11th is at rank 3
+        monkeypatch.setenv("BRUHAT_MAX_NODES", "10")
+        with pytest.raises(PosetOverflowError, match=r"exceeded 10 nodes .* at rank 3$"):
+            build_poset("B", 3, 1)
 
 
 class TestPosetCertificates:
@@ -815,11 +863,14 @@ class TestGcPause:
         "maximal_chains": lambda: maximal_chains(build_poset("B", 2, 1)),
         "chain_words": lambda: chain_words(build_poset("B", 2, 1)),
     }
-    # a callee inside each paused block, patched to raise
-    CALLEES = {
-        "build_poset": "_class_flips",
-        "maximal_chains": "check_extrema",
-        "chain_words": "check_extrema",
+    # a call and a callee inside its paused block, patched to raise; build_poset
+    # runs the heap BFS on B(3,2), which has commuting pairs, and the
+    # single-ordering BFS on B(3,1), which has none
+    RAISES = {
+        "build_poset": (lambda: build_poset("B", 3, 2), "_class_flips"),
+        "build_poset-orderings": (lambda: build_poset("B", 3, 1), "_slots"),
+        "maximal_chains": (CALLS["maximal_chains"], "check_extrema"),
+        "chain_words": (CALLS["chain_words"], "check_extrema"),
     }
     # the paused function a call runs its bulk work in, where that is another
     PAUSED = {"maximal_chains": "_paths", "chain_words": "_paths"}
@@ -844,16 +895,17 @@ class TestGcPause:
         assert self.BULK[call]()
         assert gc.isenabled()
 
-    @pytest.mark.parametrize("call", list(CALLS))
+    @pytest.mark.parametrize("call", list(RAISES))
     def test_collector_on_after_raise(self, call, monkeypatch):
         from bruhatb import orders
 
         def boom(*args, **kwargs):
             raise RuntimeError("callee failed")
-        monkeypatch.setattr(orders, self.CALLEES[call], boom)
+        run, callee = self.RAISES[call]
+        monkeypatch.setattr(orders, callee, boom)
         gc.enable()
         with pytest.raises(RuntimeError):
-            self.CALLS[call]()
+            run()
         assert gc.isenabled()
 
     @pytest.mark.parametrize("call", list(BULK))
@@ -888,7 +940,7 @@ class TestGcPause:
                   if isinstance(f, ast.FunctionDef)
                   and any(ast.unparse(d) == "_gc_paused()" for d in f.decorator_list)}
         assert paused == {self.PAUSED.get(c, c) for c in self.CALLS}
-        assert set(self.CALLS) == set(self.CALLEES)
+        assert set(self.CALLS) <= set(self.RAISES)
 
     def test_results_go_to_the_oldest_generation(self):
         gc.enable()

@@ -16,6 +16,7 @@ from bruhatb.orders import (
     TotalOrder,
     _coding,
     build_poset,
+    commutes,
     count_chains,
     enumerate_admissible,
     flip_candidates,
@@ -431,19 +432,39 @@ class TestBraid:
         words = chain_words(build_poset("B", 3, 1))
         assert braid_correspondence(words, "B", 3) == verdicts
 
-    def test_runs_once_per_ordering_and_label(self, monkeypatch):
-        # one walk per rank: B(2,2) has 2 orderings and 1 label, B(3,2) 42
-        # orderings and 7 labels
+    def test_spans_once_per_ordering(self, monkeypatch):
+        # one walk per rank: B(2,2) has 2 orderings and B(3,2) 42
         from bruhatb.verify import run_suite
         calls = []
-        runs = weyl._runs
+        spans = weyl._move_spans
 
-        def counted(pos, comps):
+        def counted(*args):
             calls.append(1)
-            return runs(pos, comps)
-        monkeypatch.setattr(weyl, "_runs", counted)
+            return spans(*args)
+        monkeypatch.setattr(weyl, "_move_spans", counted)
         assert all(r["result"] for r in run_suite("weyl", 3))
-        assert len(calls) <= 2 * 1 + 42 * 7
+        assert len(calls) == 2 + 42
+
+    def test_move_spans_match_packet_runs(self):
+        # the window lookup finds exactly the flips that orders._runs finds
+        # label by label, and the swaps follow them
+        from bruhatb.orders import _runs, _slots
+        flips = 0
+        for family, n in [("A", 3), ("A", 4), ("A", 5), ("B", 2), ("B", 3)]:
+            coding = _coding(family, n, 2)
+            windows = weyl._flip_windows(coding.labels)
+            assert sum(map(len, windows.values())) == len(coding.labels)
+            for rho in enumerate_admissible(family, n, 2):
+                codes = tuple(coding.code[e] for e in rho.seq)
+                spans = weyl._move_spans(codes, windows, coding.partners)
+                runs = [(lo, hi + 1 - lo) for _K, comps in coding.labels
+                        for lo, hi in _runs(_slots(codes), comps)]
+                assert sorted(s for s in spans if s[1] > 2) == sorted(runs)
+                assert [s for s in spans if s[1] == 2] == [
+                    (t, 2) for t in range(len(codes) - 1)
+                    if commutes(*(coding.ground[c] for c in codes[t:t + 2]), family, n, 2)]
+                flips += len(runs)
+        assert flips == 2 + 16 + 768 + 2 + 40
 
 
 class TestReducedWordOracle:
