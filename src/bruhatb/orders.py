@@ -68,6 +68,7 @@ class TotalOrder:
     seq: tuple
 
     def __post_init__(self):
+        object.__setattr__(self, "seq", tuple(self.seq))
         expected = ground_set(self.family, self.n, self.k)
         if len(self.seq) != len(expected) or set(self.seq) != set(expected):
             raise ValueError("sequence is not a permutation of the ground set")

@@ -1,26 +1,28 @@
 """Crossing, blocking, and the case machinery behind the level-2 theorems.
 
-Everything here is desk-scale verification: a linear scan that decides
-whether two elements can exchange their relative order inside a commutation
-class, blocking and pattern tests decided on the class's dependence order,
-and a witness search that certifies the seven obstruction patterns arising
-when a level-3 flip is blocked.  Each obstruction case runs on the codes
-of the one packet table, orders._coding: it enumerates the admissible
-orderings of its ambient double packet (the orderings that keep every packet
-of the ambient level-4 element in packet order or reversed) with
+Desk-scale verification on the codes of the one packet table, orders._coding.
+A linear scan decides whether two elements can exchange their relative order
+inside a commutation class; blocking and the obstruction patterns are decided
+on the class's dependence order (its heap of pieces).  Each obstruction case
+enumerates the admissible orderings of its ambient double packet (every
+packet of the ambient level-4 element in packet order or reversed) with
 orders.admissible_sequences, the backtracker behind enumerate_admissible.
-Oracles that enumerate the class by swaps (crosses_oracle, blocks_oracle,
+Of the two level-3 appendix checks, blocked-flip classification runs once per
+node of build_poset("B", n, 2) and counts class instances; it relies on every
+class being a node, which the tests certify independently up to B(4,2).
+Interval escapes run on the admissible sequences of codes.  Oracles that
+enumerate the class by swaps (crosses_oracle, blocks_oracle,
 class_flip_candidates_oracle) live alongside: blocking_agreement certifies
-the one class-flip test, orders.class_flip_candidates, which build_poset runs
-(no element blocks a component of the packet).  An element outside rho's
-ground set, or a K outside its level-3 labels, raises a ValueError naming it.
+the one class-flip test, orders.class_flip_candidates, which build_poset runs.
+An element outside rho's ground set, or a K outside its level-3 labels,
+raises a ValueError naming it.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .core import (
     BElem,
@@ -35,7 +37,9 @@ from .orders import (
     _class_flips,
     _coding,
     _down,
+    _mask_labels,
     _placed,
+    _slots,
     admissible_sequences,
     canonical_form,
     class_flip_candidates,
@@ -153,25 +157,27 @@ def interval_escape_witness(rho: TotalOrder, S, x) -> TotalOrder:
     in rho's order.  Requires that x does not block S.
     """
     i, S = _outside(rho, x, S, "x must lie outside S")
-    below = dependence_order(rho)
+    coding, seq, pos = _placed(rho)
+    below = _down(coding.partners, seq)
     if _blocks(below, i, S):
         raise ValueError("x blocks S; no escape exists")
-    return _escape(rho, below, S, i)
+    w = _escape(seq, pos, below, S, i)
+    return rho if w is seq else TotalOrder(rho.family, rho.n, rho.k,
+                                           tuple([coding.ground[c] for c in w]))
 
 
-def _escape(rho: TotalOrder, below: list[int], S, i: int) -> TotalOrder:
-    """interval_escape_witness past its checks, on codes: a stable sort of rho's."""
-    coding, seq, pos = _placed(rho)
+def _escape(seq: list[int], pos: list[int], below: list[int], S, i: int) -> list[int]:
+    """interval_escape_witness past its checks, on codes: seq itself when i
+    lies outside the slots spanned by S, else a stable sort of seq."""
     ps = [pos[s] for s in S]
     if not ps or not min(ps) < pos[i] < max(ps):
-        return rho
+        return seq
     if any(below[i] >> s & 1 for s in S):       # x and its up-set go last
         last = lambda c: c == i or below[c] >> i & 1
     else:                                       # x and its down-set go first
         down = below[i] | 1 << i
         last = lambda c: not down >> c & 1
-    return TotalOrder(rho.family, rho.n, rho.k,
-                      tuple([coding.ground[c] for c in sorted(seq, key=last)]))
+    return sorted(seq, key=last)
 
 
 # ---------------------------------------------------------------------------
@@ -261,32 +267,21 @@ def make_case(case_id: str, K: BElem, x: int, n: int | None = None) -> CaseSpec:
     # in packet order but whose position relative to the middle element is
     # not asserted by the pattern
     lo, hi = chain.index(first), chain.index(last)
-    pinned = [e for e in seq
-              if e == mid or e not in chain[lo + 1:hi]]
+    pinned = [e for e in seq if e == mid or e not in chain[lo + 1:hi]]
     return CaseSpec(case_id, n, K, x, tuple(pinned))
 
 
 def standard_cases(n: int = 3) -> list[CaseSpec]:
     """The seven patterns at the smallest rank admitting distinct indices."""
-    orbit_K = normalize_orbit((-3, -2, -1))
-    star_K = star((2, 1))
-    return [
-        make_case("orbit1", orbit_K, 2, n),
-        make_case("orbit2", orbit_K, 2, n),
-        make_case("orbit3", orbit_K, 1, n),
-        make_case("star1", star_K, 3, n),
-        make_case("star2", star_K, 3, n),
-        make_case("star3", star_K, 3, n),
-        make_case("star4", star_K, 3, n),
-    ]
+    orbit_K, star_K = normalize_orbit((-3, -2, -1)), star((2, 1))
+    return [make_case(c, orbit_K if c.startswith("orbit") else star_K, x, n)
+            for c, x in zip(CASE_IDS, (2, 2, 1, 3, 3, 3, 3))]
 
 
 def falsified_case(n: int = 3) -> CaseSpec:
     """Negative control: a case sequence ordered against its own packet."""
     base = standard_cases(n)[3]
-    seq = list(base.seq)
-    seq[0], seq[-1] = seq[-1], seq[0]
-    return CaseSpec(base.case_id, base.n, base.K, base.x, tuple(seq))
+    return replace(base, seq=base.seq[-1:] + base.seq[1:-1] + base.seq[:1])
 
 
 @dataclass
@@ -388,8 +383,7 @@ def _extension_has_witness(ext, pos, packets, K_chain, partners) -> bool:
     slot of c, over the member packets' (chain, mask) pairs."""
     crossed = lambda u, v: crosses_in_seq(ext, u, v, partners)
     k_ps = [pos[c] for c in K_chain]
-    minK = ext[min(k_ps)]
-    maxK = ext[max(k_ps)]
+    minK, maxK = ext[min(k_ps)], ext[max(k_ps)]
     for chain, _mask in packets:
         ps = [pos[c] for c in chain]
         if ps != sorted(ps):
@@ -414,25 +408,22 @@ def classify_blocked_flip(rho: TotalOrder, K):
         raise ValueError(f"{format_element(K)} is not a level-3 element")
     if K in class_flip_candidates(canonical_form(rho)) or K in inversion_set(rho):
         raise ValueError("flip at K is available or already inverted")
-    return _match_pattern(rho, dependence_order(rho), K)
+    if (match := _match_pattern(rho.n, dependence_order(rho), K)) is None:
+        raise ClassifyError(f"no pattern matches K={format_element(K)} in {rho}")
+    return match
 
 
-def _match_pattern(rho: TotalOrder, below: list[int], K):
-    """classify_blocked_flip past its precondition, given rho's dependence order."""
-    code = _coding(rho.family, rho.n, rho.k).code
+def _match_pattern(n: int, below: list[int], K):
+    """The first (case_id, x) whose chain lies in the dependence order below
+    of _coding("B", n, 2), or None."""
+    code = _coding("B", n, 2).code
     precedes = lambda a, b: below[code[b]] >> code[a] & 1
-    xs = [v for v in range(-rho.n, rho.n + 1) if v != 0]
-    ids = [c for c in CASE_IDS
-           if c.startswith("orbit" if K.kind == "orbit" else "star")]
-    for case_id in ids:
-        for x in xs:
-            triple = _case_triple(case_id, K, x)
-            if triple is None:
-                continue
-            if precedes(triple[0], triple[1]) and precedes(triple[1], triple[2]):
+    for case_id in (c for c in CASE_IDS if c.startswith(K.kind)):
+        for x in range(-n, n + 1):
+            t = _case_triple(case_id, K, x) if x else None
+            if t and precedes(t[0], t[1]) and precedes(t[1], t[2]):
                 return case_id, x
-    raise ClassifyError(
-        f"no pattern matches K={format_element(K)} in {rho}")
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -498,51 +489,65 @@ def blocking_agreement(n: int) -> dict:
     return _exhaustive("blocking-vs-class-enumeration", {"n": n, "k": 2}, verdicts())
 
 
-def classification_exhaustive(n: int) -> dict:
-    """Every blocked, uninverted level-3 flip matches one pattern."""
-    def verdicts():
-        for rho in enumerate_admissible("B", n, 2):
-            skip = class_flip_candidates(canonical_form(rho)) | inversion_set(rho)
-            below = dependence_order(rho)
-            for K in enumerate_B(n, 3):
-                if K in skip:
-                    continue
-                try:
-                    _match_pattern(rho, below, K)
-                except ClassifyError:
-                    yield {"rho": str(rho), "K": format_element(K)}
-                else:
-                    yield None
-    return _exhaustive("blocked-flip-classification", {"n": n}, verdicts())
+def _blocked_flips(p):
+    """(id, below, blocked, flips) for each node of p = build_poset("B", n, 2):
+    its heap's below masks, then its uninverted labels that _class_flips,
+    build_poset's test, finds blocked, and the label codes it flips."""
+    if p.family != "B" or p.k != 2:
+        raise ValueError(f"needs a type B level-2 poset, got {p.family}({p.n},{p.k})")
+    coding = _coding("B", p.n, 2)
+    for i, nd in enumerate(p.nodes):
+        below = _down(coding.partners, nd.canon)
+        flips = _class_flips(coding.labels, below, _down(coding.partners, nd.canon[::-1]),
+                             skip=nd.inv)
+        done = nd.inv | sum(1 << j for j in flips)
+        yield i, below, _mask_labels(coding.labels, ~done), flips
+
+
+def classification_exhaustive(p) -> dict:
+    """Every blocked, uninverted level-3 flip of a class of p =
+    build_poset("B", n, 2) matches a pattern on the class's heap.  Counts
+    class instances: each node's blocked labels (_blocked_flips)."""
+    return _exhaustive("blocked-flip-classification", {"n": p.n}, (
+        None if _match_pattern(p.n, below, K)
+        else {"canon": str(p.order(i)), "K": format_element(K)}
+        for i, below, blocked, _flips in _blocked_flips(p) for K in blocked))
 
 
 def escape_witness_agreement(n: int) -> dict:
-    """Every escape from a packet interval stays in the class and drops x."""
+    """Every escape from a packet interval stays in the class and drops x: on
+    codes, over every admissible sequence, level-3 packet S and code outside S
+    that does not block it.  A TotalOrder is built only for a counterexample."""
+    coding = _coding("B", n, 2)
+    partners, ground = coding.partners, coding.ground
+
+    def spanned(seq, pos, S):       # the codes from S's lowest slot to its highest
+        ps = [pos[s] for s in S]
+        return sum(1 << c for c in seq[min(ps):max(ps) + 1])
+
     def verdicts():
-        for rho in enumerate_admissible("B", n, 2):
-            coding, seq, _pos = _placed(rho)
-            below, canon = dependence_order(rho), canonical_form(rho).canon
-            for K in enumerate_B(n, 3):
-                S = packet_B(K).elements
-                codes = {coding.code[s] for s in S}
-                interval = set(minimal_chain(rho, S))
-                for i, x in zip(seq, rho.seq):
-                    if i in codes or _blocks(below, i, codes):
+        for seq in admissible_sequences(range(len(ground)),
+                                        [comps for _K, comps in coding.labels]):
+            pos, below = _slots(seq), _down(partners, seq)
+            for K, ((S, _mask),) in coding.labels:
+                interval = spanned(seq, pos, S)
+                for i in seq:
+                    if i in S or _blocks(below, i, S):
                         continue
-                    w = _escape(rho, below, codes, i)
-                    inside = set(minimal_chain(w, S))
-                    yield (None if x not in inside and inside <= interval
-                           and (w is rho or canonical_form(w).canon == canon)
-                           else {"rho": str(rho), "K": format_element(K),
-                                 "x": format_element(x)})
+                    w = _escape(seq, pos, below, S, i)
+                    inside = interval if w is seq else spanned(w, _slots(w), S)
+                    yield (None if not inside >> i & 1 and not inside & ~interval
+                           and (w is seq or _down(partners, w) == below)
+                           else {"rho": str(TotalOrder("B", n, 2, tuple(
+                                     ground[c] for c in seq))),
+                                 "K": format_element(K), "x": format_element(ground[i])})
     return _exhaustive("interval-escape-witness", {"n": n}, verdicts())
 
 
 def obstruction_case_suite(n: int = 3) -> list[dict]:
     """The seven standard cases, then the negative control, which passes
     exactly when it lists no ordering."""
-    reports = [case_report(c) for c in standard_cases(n)]
-    out = [r.to_json_obj() for r in reports]
+    out = [case_report(c).to_json_obj() for c in standard_cases(n)]
     control = case_report(falsified_case(n))
     out.append({
         "check": "obstruction-case-negative-control",
@@ -555,12 +560,7 @@ def obstruction_case_suite(n: int = 3) -> list[dict]:
 
 def nonmaximal_has_flip(p) -> dict:
     """Each class of p = build_poset("B", n, 2) but the top has an uninverted flip."""
-    if p.family != "B" or p.k != 2:
-        raise ValueError(f"needs a type B level-2 poset, got {p.family}({p.n},{p.k})")
-    coding = _coding("B", p.n, 2)
-    stuck = [i for i, nd in enumerate(p.nodes) if nd.rank < len(coding.labels)
-             and not _class_flips(coding.labels, _down(coding.partners, nd.canon),
-                                  _down(coding.partners, nd.canon[::-1]), skip=nd.inv)]
+    stuck = [i for i, _, blocked, flips in _blocked_flips(p) if blocked and not flips]
     return _report("nonmaximal-class-has-flip", {"n": p.n, "k": 2}, not stuck,
                    {"canon": str(p.order(stuck[0]))} if stuck else None)
 
@@ -572,10 +572,7 @@ def run_suite(name: str, n: int = 3) -> list[dict]:
     out: list[dict] = []
     for task in _suite_tasks(name, n):
         r = _run_task(task)
-        if isinstance(r, list):
-            out.extend(r)
-        else:
-            out.append(r)
+        out.extend(r if isinstance(r, list) else [r])
     return out
 
 
@@ -668,7 +665,7 @@ def _suite_tasks(name: str, n: int):
             for k in (1, 2):
                 tasks.append(lambda nn=nn, k=k: crossing_agreement(nn, k))
         tasks.append(lambda: obstruction_case_suite(3))
-        tasks.append(lambda: classification_exhaustive(3))
+        tasks.append(lambda: classification_exhaustive(poset("B", 3, 2)))
         tasks.append(lambda: escape_witness_agreement(3))
     return tasks
 

@@ -1,10 +1,12 @@
 """Ground sets, normalization, packets, and the standard orders."""
 
 import itertools
+import types
 from math import comb
 
 import pytest
 
+import bruhatb
 from bruhatb.core import (
     BElem,
     Packet,
@@ -236,3 +238,11 @@ class TestStandardKey:
                 keys = [standard_key(e) for e in enumerate_B(n, k)]
                 assert len(set(keys)) == len(keys)
                 assert keys == sorted(keys)
+
+
+def test_package_exports_names_not_modules():
+    public = {name for name in dir(bruhatb) if not name.startswith("_")
+              and not isinstance(getattr(bruhatb, name), types.ModuleType)}
+    assert not [name for name in bruhatb.__all__
+                if isinstance(getattr(bruhatb, name), types.ModuleType)]
+    assert sorted(bruhatb.__all__) == sorted(public) and len(public) == 65

@@ -140,6 +140,19 @@ def test_walks_match_element_reference(family, n, k):
     assert seen["refused"] or (family, n, k) == ("B", 2, 2)     # one packet: all
 
 
+class TestTotalOrder:
+    def test_list_built_order_is_its_tuple_twin(self):
+        rho = TotalOrder("B", 2, 1, [-2, -1, 1, 2])
+        twin = TotalOrder("B", 2, 1, (-2, -1, 1, 2))
+        assert rho.seq == twin.seq and isinstance(rho.seq, tuple)
+        assert rho == twin and hash(rho) == hash(twin) and len({rho, twin}) == 1
+        assert canonical_form(rho).canon.seq == rho.seq
+
+    def test_not_a_permutation_rejected(self):
+        with pytest.raises(ValueError, match="not a permutation of the ground set"):
+            TotalOrder("B", 2, 1, [-2, -1, 1, 1])
+
+
 class TestAdmissibility:
     def test_rho_min_and_max_admissible_everywhere(self):
         for family, n, k in A_CASES + B_CASES:

@@ -13,6 +13,7 @@ from bruhatb.orders import (
     OrderClass,
     TotalOrder,
     _coding,
+    _slots,
     build_poset,
     canonical_form,
     class_flip_candidates,
@@ -26,7 +27,9 @@ from bruhatb.orders import (
 from bruhatb.verify import (
     CASE_IDS,
     CaseSpec,
+    ClassifyError,
     _case_triple,
+    _escape,
     blocking_agreement,
     blocks,
     blocks_oracle,
@@ -382,6 +385,39 @@ class TestEscapeWitness:
             assert x not in set(minimal_chain(w, S))
             assert set(minimal_chain(w, S)) <= set(minimal_chain(rho, S))
 
+    def test_code_escape_matches_element_witness(self):
+        # the check's code-level escape against the element-level witness,
+        # on every (ordering, K, x) with x outside S and not blocking it
+        coding, instances = _coding("B", 3, 2), 0
+        for rho in enumerate_admissible("B", 3, 2):
+            seq = [coding.code[e] for e in rho.seq]
+            pos, below = _slots(seq), dependence_order(rho)
+            for K, ((S, _mask),) in coding.labels:
+                elements = packet_B(K).elements
+                assert set(S) == {coding.code[e] for e in elements}
+                for i in seq:
+                    x = coding.ground[i]
+                    if i in S or blocks(rho, x, elements):
+                        continue
+                    w = _escape(seq, pos, below, S, i)
+                    witness = interval_escape_witness(rho, elements, x)
+                    assert (w is seq) == (witness is rho)
+                    assert tuple(coding.ground[c] for c in w) == witness.seq
+                    instances += 1
+        assert instances == 888
+
+    # an escape that leaves x in place, and one that lists x first whatever
+    # lies below it, leaving the class
+    @pytest.mark.parametrize("broken", [
+        lambda seq, pos, below, S, i: list(seq),
+        lambda seq, pos, below, S, i: [i] + [c for c in seq if c != i]],
+        ids=["stays-inside", "leaves-class"])
+    def test_broken_escape_fails(self, broken, monkeypatch):
+        import bruhatb.verify as verify
+        monkeypatch.setattr(verify, "_escape", broken)
+        rep = escape_witness_agreement(3)
+        assert not rep["result"] and set(rep["counterexample"]) == {"rho", "K", "x"}
+
     def test_blocked_x_rejected(self):
         for rho in enumerate_admissible("B", 3, 2):
             available = class_flip_candidates_oracle(rho)
@@ -481,12 +517,59 @@ class TestObstructionCases:
 
 class TestClassification:
     def test_exhaustive_rank3(self):
-        rep = classification_exhaustive(3)
-        assert rep["result"], rep
+        rep = classification_exhaustive(build_poset("B", 3, 2))
+        assert rep["result"] and rep["params"]["instances"] == 35, rep
 
     def test_rank2_checks_nothing_and_fails(self):
-        rep = classification_exhaustive(2)
+        rep = classification_exhaustive(build_poset("B", 2, 2))
         assert rep["params"]["instances"] == 0 and not rep["result"]
+
+    @pytest.mark.parametrize("n,orderings,classes", [(2, 0, 0), (3, 105, 35)])
+    def test_class_verdicts_match_every_ordering(self, n, orderings, classes,
+                                                 monkeypatch):
+        # the check's verdict per (class heap, K) against classify_blocked_flip
+        # on every admissible ordering, blocked labels found by enumeration
+        import bruhatb.verify as verify
+        by_class, match = {}, verify._match_pattern
+
+        def recording(nn, below, K):
+            by_class[tuple(below), K] = got = match(nn, below, K)
+            return got
+        monkeypatch.setattr(verify, "_match_pattern", recording)
+        rep = classification_exhaustive(build_poset("B", n, 2))
+        monkeypatch.undo()
+        assert rep["params"]["instances"] == len(by_class) == classes
+        assert rep["result"] == (classes > 0)
+        seen, instances = set(), 0
+        for rho in enumerate_admissible("B", n, 2):
+            skip = class_flip_candidates_oracle(rho) | inversion_set(rho)
+            for K in enumerate_B(n, 3):
+                if K not in skip:
+                    key = tuple(dependence_order(rho)), K
+                    assert classify_blocked_flip(rho, K) == by_class[key], str(rho)
+                    seen.add(key)
+                    instances += 1
+        assert instances == orderings and seen == set(by_class)
+
+    # at rank 3 only orbit3 and star3 are ever an instance's sole match, so
+    # dropping either fails the check, and dropping any other pattern does not
+    @pytest.mark.parametrize("case_id", CASE_IDS)
+    def test_each_sole_match_pattern_is_needed(self, case_id, monkeypatch):
+        import bruhatb.verify as verify
+        triple = verify._case_triple
+        monkeypatch.setattr(verify, "_case_triple", lambda c, K, x:
+                            None if c == case_id else triple(c, K, x))
+        p = build_poset("B", 3, 2)
+        rep = classification_exhaustive(p)
+        assert rep["result"] == (case_id not in ("orbit3", "star3"))
+        if not rep["result"]:
+            bad = rep["counterexample"]
+            (rho,) = [p.order(i) for i in range(len(p.nodes))
+                      if str(p.order(i)) == bad["canon"]]
+            (K,) = [K for K in enumerate_B(3, 3) if format_element(K) == bad["K"]]
+            assert case_id.startswith(K.kind)
+            with pytest.raises(ClassifyError):
+                classify_blocked_flip(rho, K)
 
     def test_precondition_enforced(self):
         rho = rho_min("B", 2, 2)
@@ -539,6 +622,21 @@ class TestClassification:
         with pytest.raises(ValueError, match="type B level-2 poset"):
             nonmaximal_has_flip(build_poset(family, n, k))
 
+    @pytest.mark.parametrize("family,n,k", [("B", 3, 1), ("A", 4, 2)])
+    def test_classification_needs_type_b_level_2(self, family, n, k):
+        with pytest.raises(ValueError, match="type B level-2 poset"):
+            classification_exhaustive(build_poset(family, n, k))
+
+    def test_level3_checks_build_no_total_order(self, monkeypatch):
+        p, built, post = build_poset("B", 3, 2), [], TotalOrder.__post_init__
+        monkeypatch.setattr(TotalOrder, "__post_init__",
+                            lambda self: built.append(self) or post(self))
+        assert classification_exhaustive(p)["result"]
+        assert escape_witness_agreement(3)["result"]
+        assert built == []
+        rho_min("B", 3, 2)
+        assert len(built) == 1      # the count sees a construction
+
 
 class TestMsTypeASuite:
     @pytest.mark.parametrize("n", [2, 4])
@@ -590,12 +688,13 @@ class TestAllSuite:
     # sha256 of [(check, params, result)] for run_suite("all", 3) in order, as
     # JSON; pinned from the reports before the four exhaustive checks shared
     # one loop, with blocking-vs-class-enumeration given its instance count
-    # and blocked-flip-classification's "checked" renamed to "instances"
+    # and blocked-flip-classification's "checked" renamed to "instances";
+    # repinned when that check's instances became class instances, 105 -> 35
     def test_golden_reports(self):
         reports = run_suite("all", 3)
         text = json.dumps([(r["check"], r["params"], r["result"]) for r in reports])
         assert (len(reports), hashlib.sha256(text.encode()).hexdigest()) == (
-            36, "3316003cd96f4d60de25708b8c46da5ae91949ca28dc65d990727cb1aec261d7")
+            36, "0d92622159e04faff883080848c9dbff347ca91d7c4a5da10f400b40b9e444e1")
 
 
 class TestWeylSuite:
