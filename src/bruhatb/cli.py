@@ -3,9 +3,10 @@
 Thin adapters over the library; exit status 0 on success, 1 when a
 verification suite reports a failure (a check that raises is reported as a
 failure) or runs no check, 2 on usage errors including unsupported ranks or
-levels and an --out that cannot be written, 3 on any other exception (an
-internal error).  Suites run their checks serially; `verify --jobs N` is
-still accepted (N >= 1) and changes nothing.
+levels, an --out that cannot be written and a chain count over
+BRUHAT_MAX_CHAINS, 3 on any other exception (an internal error).  Suites run
+their checks serially; `verify --jobs N` is still accepted (N >= 1) and
+changes nothing.
 """
 
 from __future__ import annotations
@@ -19,12 +20,16 @@ from .orders import (
     PosetOverflowError,
     build_poset,
     check_extrema,
+    count_chains,
+    env_budget,
     ground_set,
     maximal_chains,
     poset_to_dot,
     poset_to_json,
 )
 from .verify import SUITE_NAMES, reports_to_json, run_suite
+
+DEFAULT_MAX_CHAINS = 10 ** 6
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -99,7 +104,13 @@ def _cmd_poset(args) -> int:
 
 
 def _cmd_chains(args) -> int:
+    """Lists the chains only when count_chains(p) is within BRUHAT_MAX_CHAINS,
+    a positive integer (default DEFAULT_MAX_CHAINS); otherwise a usage error."""
+    budget = env_budget("BRUHAT_MAX_CHAINS", DEFAULT_MAX_CHAINS)
     p = build_poset(args.family, args.n, args.k)
+    if (count := count_chains(p)) > budget:
+        raise ValueError(f"{args.family}({args.n},{args.k}) has {count} maximal chains, "
+                         f"over the budget of {budget} (BRUHAT_MAX_CHAINS)")
     chains = maximal_chains(p)
     if args.format == "json":
         _emit(json.dumps([[format_element(K) for K in c] for c in chains],

@@ -50,6 +50,15 @@ class PosetOverflowError(RuntimeError):
 DEFAULT_MAX_NODES = 10 ** 6
 
 
+def env_budget(name: str, default: int) -> int:
+    """The budget in the environment variable name, default when it is unset;
+    ValueError naming the variable unless it is a positive integer."""
+    value = os.environ.get(name, str(default))
+    if not value.strip().isdecimal() or (budget := int(value)) < 1:
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+    return budget
+
+
 def ground_set(family: str, n: int, k: int) -> list:
     if family == "A":
         return enumerate_A(n, k)
@@ -489,10 +498,7 @@ def build_poset(family: str, n: int, k: int) -> BruhatPoset:
                 f"type B flip poset is defined for k in {{1, 2}}, got k={k}")
     else:
         raise ValueError(f"unknown family {family!r}")
-    budget = os.environ.get("BRUHAT_MAX_NODES", str(DEFAULT_MAX_NODES))
-    if not budget.strip().isdecimal() or (max_nodes := int(budget)) < 1:
-        raise ValueError(f"BRUHAT_MAX_NODES must be a positive integer, got {budget!r}")
-
+    max_nodes = env_budget("BRUHAT_MAX_NODES", DEFAULT_MAX_NODES)
     poset = BruhatPoset(family, n, k)
     coding = _coding(family, n, k)
     full = (1 << len(coding.ground)) - 1
@@ -553,19 +559,33 @@ def _ordering_bfs(poset: BruhatPoset, coding: _Coding, max_nodes: int) -> None:
     ordering: its own key and canonical form.  A label outside inv is in
     packet order, so it flips exactly when each component fills the slots
     from its first code's to its last's; the flip reverses those slots.
-    Nodes are visited in id order, the order _heap_bfs queues them in."""
+    Nodes are visited in id order, the order _heap_bfs queues them in.
+
+    Such a label has the first two codes of its first component in adjacent
+    slots, in that order, so the candidates are found by looking up the
+    size - 1 adjacent slot pairs (a, b), keyed a * size + b; the components'
+    ends are then checked, and the hits flipped in label order."""
+    size = len(coding.ground)
     ends = [[(codes[0], codes[-1], len(codes) - 1) for codes, _mask in comps]
             for _K, comps in coding.labels]
-    start = tuple(range(len(coding.ground)))
+    heads: dict = {}
+    for i, (_K, ((codes, _mask), *_rest)) in enumerate(coding.labels):
+        heads.setdefault(codes[0] * size + codes[1], []).append(i)
+    start = tuple(range(size))
     ids = {start: _add_node(poset, max_nodes, start, 0)}
     nodes, edges = poset.nodes, poset.edges
     src = 0
     while src < len(nodes):
         seq, inv = nodes[src].canon, nodes[src].inv
         pos = _slots(seq)
-        for i, comps in enumerate(ends):
+        hits = []
+        for t in range(size - 1):
+            hits += heads.get(seq[t] * size + seq[t + 1], ())
+        hits.sort()
+        for i in hits:
             if inv >> i & 1:
                 continue
+            comps = ends[i]
             for first, last, span in comps:
                 if pos[last] - pos[first] != span:
                     break

@@ -7,6 +7,12 @@ chains read off their edges' letters as reduced words for the longest element
 (chain_words), and one walk over that table checks that level-2 flips and
 commuting swaps act on the words as braid moves of arity 3 or 4 and 2.
 
+At level 1 every packet component is a pair of codes, so a flip is one or two
+adjacent transpositions: chain_to_word and _edge_letters flip by the pair
+table (_pairs, _swap_pairs), not by orders._flip_runs, which still serves
+packet_flip at every level.  weak_order multiplies windows by value maps and
+calls no flip code, so it stays an independent reference for _iso_check.
+
 Both families live in the hyperoctahedral group: a type A permutation is a
 signed permutation with a positive window.  Roots are type B only: e_i,
 e_i - e_j and e_i + e_j for i > j.
@@ -24,7 +30,6 @@ from .orders import (
     BruhatPoset,
     TotalOrder,
     _coding,
-    _flip_runs,
     _paths,
     _placed,
     _slots,
@@ -108,11 +113,14 @@ def simple_reflection_b(n: int, g: int) -> SignedPermutation:
 
 
 def all_signed_permutations(n: int) -> list[SignedPermutation]:
-    out = []
-    for perm in itertools.permutations(range(1, n + 1)):
-        for signs in itertools.product((1, -1), repeat=n):
-            out.append(SignedPermutation(tuple(s * v for s, v in zip(signs, perm))))
-    return out
+    return [SignedPermutation(w) for w in _signed_windows(n)]
+
+
+def _signed_windows(n: int) -> list[tuple[int, ...]]:
+    """The windows of B_n: each permutation of 1..n under each sign pattern."""
+    return [tuple(s * v for s, v in zip(signs, perm))
+            for perm in itertools.permutations(range(1, n + 1))
+            for signs in itertools.product((1, -1), repeat=n)]
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +197,11 @@ def weyl_length(pi: SignedPermutation) -> int:
     """len(weyl_inversions(pi)) on the window: f(e_i) = i is positive on the
     positive roots, so pi makes e_i, e_i - e_j and e_i + e_j (j < i) negative
     exactly when pi(i) < 0, pi(i) < pi(j) and pi(i) + pi(j) < 0."""
-    w = pi.images
+    return _window_length(pi.images)
+
+
+def _window_length(w: tuple) -> int:
+    """weyl_length of the signed permutation with window w."""
     return sum((v < 0) + sum((v < u) + (v + u < 0) for u in w[:i])
                for i, v in enumerate(w))
 
@@ -245,6 +257,47 @@ class InvalidOrderingError(ValueError):
 
 
 # ---------------------------------------------------------------------------
+# level-1 flips on code pairs
+# ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=None)
+def _pairs(family: str, n: int, k: int = 1) -> tuple:
+    """The pair table: each label's components of _coding(family, n, k), in
+    label order, as code pairs (a, b).  Raises ValueError unless every
+    component has exactly 2 codes, which holds at level 1 only."""
+    table = []
+    for K, comps in _coding(family, n, k).labels:
+        if any(len(codes) != 2 for codes, _mask in comps):
+            raise ValueError(f"{family}({n},{k}) is not a level-1 coding: the "
+                             f"packet of {K} has a component that is not a pair")
+        table.append(tuple(codes for codes, _mask in comps))
+    return tuple(table)
+
+
+def _swap_pairs(seq: list[int] | None, pos: list[int], pairs: tuple) -> int:
+    """Flip a level-1 label on codes: each of its pairs (a, b) (_pairs) must
+    sit in adjacent slots, pos[c] the slot of code c, and is swapped in seq
+    and pos; with seq None nothing moves.  Returns the last slot moved, or -1,
+    changing nothing, when some pair is not adjacent.  On pairs this is
+    orders._flip_runs: a run of two slots reversed is a transposition."""
+    last = -1
+    for a, b in pairs:
+        s, t = pos[a], pos[b]
+        if s < t:
+            s, t = t, s
+        if s - t != 1:
+            return -1
+        if s > last:
+            last = s
+    if seq is not None:
+        for a, b in pairs:
+            s, t = pos[a], pos[b]
+            seq[s], seq[t] = b, a
+            pos[a], pos[b] = t, s
+    return last
+
+
+# ---------------------------------------------------------------------------
 # weak orders
 # ---------------------------------------------------------------------------
 
@@ -258,17 +311,24 @@ class WeakOrderGraph:
 
 
 def weak_order(family: str, n: int) -> WeakOrderGraph:
-    """The family's weak left order: B_n, or its positive windows in type A."""
-    reflections = simple_reflections(family, n)
-    elems = (all_signed_permutations(n) if family == "B" else
-             [SignedPermutation(w) for w in itertools.permutations(range(1, n + 1))])
-    ranks = {w.images: weyl_length(w) for w in elems}
+    """The family's weak left order: B_n, or its positive windows in type A.
+
+    It works on window tuples: the window of s_g w is w's window with each
+    value v replaced by s_g(v), read off a value map of s_g.  It calls no flip
+    code, so _iso_check compares the flip poset with an independent graph."""
+    values = [v for i in range(1, n + 1) for v in (i, -i)]
+    maps = {g: {v: s(v) for v in values}
+            for g, s in simple_reflections(family, n).items()}
+    windows = (_signed_windows(n) if family == "B"
+               else list(itertools.permutations(range(1, n + 1))))
+    ranks = {w: _window_length(w) for w in windows}
     edges = set()
-    for w in elems:
-        for g, s in reflections.items():
-            nxt = s.compose(w)
-            if ranks[nxt.images] == ranks[w.images] + 1:
-                edges.add((w.images, nxt.images, g))
+    for w in windows:
+        up = ranks[w] + 1
+        for g, vmap in maps.items():
+            nxt = tuple([vmap[v] for v in w])
+            if ranks[nxt] == up:
+                edges.add((w, nxt, g))
     return WeakOrderGraph(n, ranks, edges)
 
 
@@ -295,11 +355,13 @@ def _iso_check(poset: BruhatPoset) -> bool:
 
 def _edge_letters(p: BruhatPoset) -> list[int]:
     """Each edge's letter g, as chain_to_word reads it: the flip of the source's
-    one ordering moves w to s_g w, g its last slot moved less |ground| - n."""
-    coding = _coding(p.family, p.n, 1)
-    offset = len(coding.ground) - p.n
-    return [_flip_runs(seq := list(p.nodes[s].canon), _slots(seq), coding.labels[c][1])
-            - offset for s, _d, c in p.edges]
+    one ordering moves w to s_g w, g its last slot moved less |ground| - n.
+    The letter is read off the source's slots (_swap_pairs without seq), and
+    a label that cannot flip there reads -1 - (|ground| - n), no generator."""
+    pairs = _pairs(p.family, p.n)
+    offset = len(_coding(p.family, p.n, 1).ground) - p.n
+    slots = [_slots(nd.canon) for nd in p.nodes]
+    return [_swap_pairs(None, slots[s], pairs[c]) - offset for s, _d, c in p.edges]
 
 
 # ---------------------------------------------------------------------------
@@ -350,16 +412,18 @@ class ReducedWord:
 def chain_to_word(labels, family: str, n: int) -> ReducedWord:
     """Replay a maximal chain's flip labels into a reduced word.
 
-    The replay runs on element codes (orders._coding) from rho_min.  A flip
-    reverses each component's run of slots in place (orders._flip_runs) and
-    multiplies the permutation on the left by the simple reflection of the
-    last slot moved, less |ground| - n (slots run 1..n in type A and -n..-1,
-    1..n in type B).  A maximal chain flips each label once.  The letters are
-    collected in application order.
+    The replay runs on element codes (orders._coding) from rho_min.  At
+    level 1 each packet component is a pair of codes, so a flip swaps each
+    pair, which must sit in adjacent slots (_swap_pairs on the pair table
+    _pairs), and multiplies the permutation on the left by the simple
+    reflection of the last slot moved, less |ground| - n (slots run 1..n in
+    type A and -n..-1, 1..n in type B).  A maximal chain flips each label
+    once.  The letters are collected in application order.
     """
     coding = _coding(family, n, 1)
     if len(labels) != len(coding.labels):
         raise ChainError(f"chain has {len(labels)} labels, expected {len(coding.labels)}")
+    pairs = _pairs(family, n)
     least = list(range(len(coding.ground)))     # rho_min, as codes
     offset = len(coding.ground) - n
     seq, pos = least[:], least[:]
@@ -368,7 +432,7 @@ def chain_to_word(labels, family: str, n: int) -> ReducedWord:
         i = coding.label_code.get(K)
         if i is None:
             raise ChainError(f"label {K} is not a level-2 element")
-        last = _flip_runs(seq, pos, coding.labels[i][1])
+        last = _swap_pairs(seq, pos, pairs[i])
         if last < 0:
             raise ChainError(f"label {K} is not flippable at its step")
         letters.append(last - offset)

@@ -1,10 +1,13 @@
 """The command-line front end stays a thin adapter over the library."""
 
+import hashlib
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import bruhatb
 from bruhatb.cli import main
@@ -79,6 +82,64 @@ class TestChains:
         chains = json.loads(capsys.readouterr().out)
         assert len(chains) == 2
         assert chains[0] == ["[-2,-1]", "[2,*]", "[-2,1]", "[1,*]"]
+
+
+class TestChainBudget:
+    # sha256 of the standard output of `chains`, pinned from the listing
+    # before the chain budget existed
+    GOLDEN = {
+        ("B", 3, 1, "text"): "f1c6bb213deabe15210f4b49ac91a872f33b387a1d41edeb614d022a4d98382e",
+        ("B", 3, 1, "json"): "bffaaa5f9299d3c3508f2a5923cdc33633fa62fd0c216cfb837d378120da986c",
+        ("A", 4, 1, "text"): "32fe2b5a51c53d1208c161f2d9e3e78ae87773ff6db41f326472d00542b0e5be",
+        ("A", 4, 1, "json"): "3b9c6b8d4d115a33e48de294cc4cfced5226d111361927218f2fa55258906245",
+        ("B", 2, 2, "text"): "55d31f98915aad11d67d092121d6f8d0759929ee62e3870e57a7b119e72fa8a3",
+        ("B", 2, 2, "json"): "9982b48da7d05db99626f94763a5b6a5f19faf812a9fe61b919167a368110110",
+    }
+
+    @staticmethod
+    def chains(family, n, k, fmt="text"):
+        return main(["chains", "--family", family, "--n", str(n), "--k", str(k),
+                     "--format", fmt])
+
+    @pytest.mark.parametrize("family,n,k,fmt", sorted(GOLDEN))
+    def test_listing_under_the_budget_is_unchanged(self, capsys, family, n, k, fmt):
+        assert self.chains(family, n, k, fmt) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == self.GOLDEN[family, n, k, fmt]
+
+    def test_over_the_budget_lists_nothing(self, monkeypatch, capsys):
+        # B(5,1) has 701,149,020 chains, one per reduced word of B_5's longest
+        # element: the standard Young tableaux of the 5 x 5 square, by the
+        # hook-length formula 25! / (1 * 2^2 * 3^3 * 4^4 * 5^5 * 6^4 * ... * 9);
+        # over the default budget of 10^6
+        import bruhatb.cli as cli
+
+        def not_listed(p):
+            raise AssertionError("chains listed over the budget")
+        monkeypatch.setattr(cli, "maximal_chains", not_listed)
+        assert self.chains("B", 5, 1) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: B(5,1) has 701149020 maximal chains, over "
+                                "the budget of 1000000 (BRUHAT_MAX_CHAINS)\n")
+
+    def test_budget_is_inclusive(self, monkeypatch, capsys):
+        # B(2,1) has 2 chains
+        monkeypatch.setenv("BRUHAT_MAX_CHAINS", "2")
+        assert self.chains("B", 2, 1) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 2
+        monkeypatch.setenv("BRUHAT_MAX_CHAINS", "1")
+        assert self.chains("B", 2, 1) == 2
+        assert "has 2 maximal chains, over the budget of 1 " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("budget", ["0", "-1", "abc"])
+    def test_bad_budget_is_usage_error(self, monkeypatch, capsys, budget):
+        monkeypatch.setenv("BRUHAT_MAX_CHAINS", budget)
+        assert self.chains("B", 2, 1) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: BRUHAT_MAX_CHAINS must be a positive "
+                                f"integer, got {budget!r}\n")
 
 
 class TestExport:

@@ -15,6 +15,8 @@ from bruhatb.core import normalize_orbit, star
 from bruhatb.orders import (
     TotalOrder,
     _coding,
+    _flip_runs,
+    _slots,
     build_poset,
     commutes,
     count_chains,
@@ -32,6 +34,8 @@ from bruhatb.weyl import (
     Root,
     SignedPermutation,
     _iso_check,
+    _pairs,
+    _swap_pairs,
     act,
     all_signed_permutations,
     braid_classify,
@@ -176,6 +180,22 @@ class TestWeakOrder:
                         frontier.append(nxt)
             assert dist == g.ranks
 
+    @pytest.mark.parametrize("family,n", [("B", 1), ("B", 2), ("B", 3), ("B", 4),
+                                          ("A", 2), ("A", 3), ("A", 4), ("A", 5)])
+    def test_windows_match_composed_products(self, family, n):
+        # reference: each product s_g w by SignedPermutation.compose, ranked
+        # by weyl_length; the graph's rank map keeps the listing order
+        elems = (all_signed_permutations(n) if family == "B" else
+                 [SignedPermutation(w) for w in itertools.permutations(range(1, n + 1))])
+        ranks = {w.images: weyl_length(w) for w in elems}
+        edges = {(w.images, s.compose(w).images, g)
+                 for w in elems for g, s in simple_reflections(family, n).items()
+                 if weyl_length(s.compose(w)) == ranks[w.images] + 1}
+        g = weak_order(family, n)
+        assert list(g.ranks.items()) == list(ranks.items())
+        assert g.edges == edges and len(edges) == len(ranks) * len(
+            simple_reflections(family, n)) // 2
+
     @pytest.mark.parametrize("n", (2, 3))
     def test_flip_poset_isomorphism(self, n):
         assert iso_check(n)
@@ -204,6 +224,23 @@ class TestWeakOrder:
                             if v != d and nd.rank == p.nodes[d].rank), c)
         assert _iso_check(p) and not _iso_check(dataclasses.replace(p, edges=edges))
 
+    @pytest.mark.parametrize("family, n", [("B", 2), ("B", 3), ("A", 3), ("A", 4)])
+    def test_unflippable_edge_label_fails(self, family, n):
+        # each edge in turn takes each label that cannot flip at its source
+        # (a pair not in adjacent slots), which has no letter
+        p = build_poset(family, n, 1)
+        pairs = _pairs(family, n)
+        tried = 0
+        for e, (s, d, _c) in enumerate(p.edges[:40]):
+            pos = _slots(p.nodes[s].canon)
+            for bad in range(len(pairs)):
+                if any(abs(pos[a] - pos[b]) != 1 for a, b in pairs[bad]):
+                    edges = list(p.edges)
+                    edges[e] = (s, d, bad)
+                    assert not _iso_check(dataclasses.replace(p, edges=edges))
+                    tried += 1
+        assert tried and _iso_check(p)
+
     @pytest.mark.parametrize("i", (0, 30, -1))
     def test_duplicated_edge_fails(self, i):
         # a copy maps onto the weak-order edge its original maps onto, so the
@@ -224,6 +261,61 @@ class TestWeakOrder:
     def test_group_bijection(self, n):
         ok, orderings = level1_group_bijection_check(n)
         assert ok and orderings == 2 ** n * factorial(n)
+
+
+class TestLevel1Pairs:
+    # at level 1 every packet component is a pair of codes, so a flip is one
+    # or two adjacent transpositions; the pair table and its swap must agree
+    # with the general replay by run reversal (orders._flip_runs)
+
+    @pytest.mark.parametrize("family,n", [("A", n) for n in range(1, 8)]
+                             + [("B", n) for n in range(1, 6)])
+    def test_every_level1_component_is_a_pair(self, family, n):
+        labels = _coding(family, n, 1).labels
+        assert all(len(codes) == 2 for _K, comps in labels for codes, _mask in comps)
+        assert _pairs(family, n) == tuple(tuple(codes for codes, _mask in comps)
+                                          for _K, comps in labels)
+
+    @pytest.mark.parametrize("family,n,k", [("B", 2, 2), ("B", 3, 2), ("A", 4, 2),
+                                            ("A", 5, 3)])
+    def test_pair_table_rejects_higher_levels(self, family, n, k):
+        with pytest.raises(ValueError, match=f"{family}\\({n},{k}\\) is not a level-1"):
+            _pairs(family, n, k)
+
+    def test_swap_pairs_is_flip_runs_on_every_placement(self):
+        # every ordering of B(2,1) and every label: the same slot, the same
+        # sequence and slots after, and nothing moved on -1
+        coding, pairs = _coding("B", 2, 1), _pairs("B", 2)
+        for perm in itertools.permutations(range(len(coding.ground))):
+            for (_K, comps), pair in zip(coding.labels, pairs):
+                seq, ref = list(perm), list(perm)
+                pos, ref_pos = _slots(seq), _slots(ref)
+                assert _swap_pairs(seq, pos, pair) == _flip_runs(ref, ref_pos, comps)
+                assert (seq, pos) == (ref, ref_pos)
+                assert _swap_pairs(None, _slots(list(perm)), pair) == \
+                    _flip_runs(list(perm), _slots(list(perm)), comps)
+
+    @pytest.mark.parametrize("family,n", [("B", n) for n in range(1, 6)]
+                             + [("A", n) for n in range(2, 7)])
+    def test_edge_letters_match_general_replay(self, family, n):
+        p = build_poset(family, n, 1)
+        coding = _coding(family, n, 1)
+        offset = len(coding.ground) - n
+        expected = [_flip_runs(seq := list(p.nodes[s].canon), _slots(seq),
+                               coding.labels[c][1]) - offset for s, _d, c in p.edges]
+        assert weyl._edge_letters(p) == expected
+
+    @pytest.mark.parametrize("family,n", [("B", 2), ("B", 3), ("B", 4),
+                                          ("A", 3), ("A", 4), ("A", 5)])
+    def test_chain_to_word_matches_general_replay(self, family, n):
+        coding = _coding(family, n, 1)
+        offset = len(coding.ground) - n
+        for labels in maximal_chains(build_poset(family, n, 1)):
+            seq = list(range(len(coding.ground)))
+            pos = seq[:]
+            expected = tuple(_flip_runs(seq, pos, coding.labels[coding.label_code[K]][1])
+                             - offset for K in labels)
+            assert chain_to_word(labels, family, n).letters == expected
 
 
 class TestRootInversionCompatibility:
